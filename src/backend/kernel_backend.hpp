@@ -34,9 +34,9 @@
 
 namespace parpde::backend {
 
-// Activation fused into a convolution's epilogue (the ForwardPlan peephole
-// merges a conv step with the pointwise layer that follows it).
-enum class Fused { kNone, kLeakyReLU, kReLU, kTanh };
+// Activation fused into a convolution's epilogue; the fp32 conv lowering
+// applies it, so the enum lives beside it in nn/conv_ops.hpp.
+using nn::Fused;
 
 // One convolution layer of a fused inference plan. Weight/bias pointers are
 // non-owning views into the live model (same contract as nn::ForwardPlan).
@@ -90,13 +90,13 @@ class KernelBackend {
                                        nn::Conv2dWorkspace& ws) const = 0;
   virtual void conv2d_forward(const Tensor& x, const Tensor& w,
                               const Tensor& b, std::int64_t pad, Tensor& y,
-                              util::AlignedVector<float>& col) const = 0;
+                              nn::Conv2dWorkspace& ws) const = 0;
   virtual void conv2d_backward_data(const Tensor& dy, const Tensor& w,
                                     std::int64_t pad, Tensor& dx,
-                                    util::AlignedVector<float>& col) const = 0;
+                                    nn::Conv2dWorkspace& ws) const = 0;
   virtual void conv2d_backward_weights(const Tensor& x, const Tensor& dy,
                                        std::int64_t pad, Tensor& dw, Tensor& db,
-                                       util::AlignedVector<float>& col) const = 0;
+                                       nn::Conv2dWorkspace& ws) const = 0;
 
   // --- transpose convolution (deconv border mode) --------------------------
   // y [N, Cout, H+k-1, W+k-1] = w (*)^T x + b for x [N, Cin, H, W] and
@@ -128,12 +128,13 @@ class KernelBackend {
                             std::int64_t h, std::int64_t w, float* y) const = 0;
 
   // Batched variant over `batch` stacked samples: x is [B, Cin, h, w], y is
-  // [B, Cout, OH, OW], both contiguous. The whole batch is lowered into one
-  // wide im2col matrix and one GEMM of width B*OH*OW — bit-identical per
-  // sample to `batch` solo conv_forward calls, because the blocked GEMM's
-  // per-element k-reduction order does not depend on the matrix width and the
-  // epilogue is elementwise. This is the contract SurrogateServer's
-  // cross-session coalescing relies on; test_serve proves it end-to-end.
+  // [B, Cout, OH, OW], both contiguous. Bit-identical per sample to `batch`
+  // solo conv_forward calls: on fp32 both stream each sample through the
+  // same banded lowering (nn/conv_ops.hpp), whose GEMM per-element
+  // k-reduction order does not depend on the band width; int8 lowers sample
+  // groups into one wide integer GEMM, whose accumulation is exact. This is
+  // the contract SurrogateServer's cross-session coalescing relies on;
+  // test_serve proves it end-to-end.
   virtual void conv_forward_batched(PlanContext& ctx, int layer,
                                     const float* x, std::int64_t batch,
                                     std::int64_t h, std::int64_t w,
@@ -180,13 +181,12 @@ class BlockedF32Backend : public KernelBackend {
                                nn::Conv2dWorkspace& ws) const override;
   void conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
                       std::int64_t pad, Tensor& y,
-                      util::AlignedVector<float>& col) const override;
+                      nn::Conv2dWorkspace& ws) const override;
   void conv2d_backward_data(const Tensor& dy, const Tensor& w, std::int64_t pad,
-                            Tensor& dx,
-                            util::AlignedVector<float>& col) const override;
+                            Tensor& dx, nn::Conv2dWorkspace& ws) const override;
   void conv2d_backward_weights(const Tensor& x, const Tensor& dy,
                                std::int64_t pad, Tensor& dw, Tensor& db,
-                               util::AlignedVector<float>& col) const override;
+                               nn::Conv2dWorkspace& ws) const override;
 
   void conv_transpose2d_forward(const float* x, const float* w,
                                 const float* bias, std::int64_t n,

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -350,27 +351,29 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
     std::vector<std::uint32_t> hb_buf;
     std::vector<float> gather_buf;
 
-    // Sends this step's heartbeat to every live peer (unless `resend` is
-    // false — a barrier re-entered after a no-recover death already sent it)
-    // and waits until every live peer's heartbeat reaches (epoch, step).
-    // A peer that stays silent for the whole lease budget while we wait is
-    // declared dead via DeathNotice. Never uses a collective: those would
-    // hang on the dead rank. Threading (src/minimpi/README.md): this loop
-    // and strip_recv below both run on the rank's own thread, and the
-    // heartbeat and strip tag ranges are disjoint, so each channel keeps a
-    // single consumer.
-    auto heartbeat_barrier = [&](int step, bool resend) {
-      const auto epoch = static_cast<std::uint32_t>(assign.epoch());
-      if (resend) {
-        const std::array<std::uint32_t, 2> hb = {
-            epoch, static_cast<std::uint32_t>(step)};
-        for (int p = 0; p < nranks; ++p) {
-          if (p == rank || !live[static_cast<std::size_t>(p)]) continue;
-          comm.send<std::uint32_t>(p, mpi::tags::elastic_heartbeat_tag(), hb);
-        }
+    // The step barrier is split in two so a rank's own synchronous work
+    // (settle() below) runs between announcing its heartbeat and awaiting
+    // its peers'. heartbeat_send announces (epoch, step) to every live peer.
+    auto heartbeat_send = [&](int step) {
+      const std::array<std::uint32_t, 2> hb = {
+          static_cast<std::uint32_t>(assign.epoch()),
+          static_cast<std::uint32_t>(step)};
+      for (int p = 0; p < nranks; ++p) {
+        if (p == rank || !live[static_cast<std::size_t>(p)]) continue;
+        comm.send<std::uint32_t>(p, mpi::tags::elastic_heartbeat_tag(), hb);
       }
+    };
+
+    // Waits until every live peer's heartbeat reaches (epoch, step). A peer
+    // that stays silent for the whole lease budget while we wait is declared
+    // dead via DeathNotice. Never uses a collective: those would hang on the
+    // dead rank. Threading (src/minimpi/README.md): this loop and strip_recv
+    // below both run on the rank's own thread, and the heartbeat and strip
+    // tag ranges are disjoint, so each channel keeps a single consumer.
+    auto heartbeat_await = [&](int step) {
       const std::int64_t target =
-          hb_key(epoch, static_cast<std::uint32_t>(step));
+          hb_key(static_cast<std::uint32_t>(assign.epoch()),
+                 static_cast<std::uint32_t>(step));
       std::vector<std::int64_t> waited_ms(static_cast<std::size_t>(nranks), 0);
       util::WallTimer wait_timer;
       for (;;) {
@@ -563,12 +566,59 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
       comm_timer.stop();
     };
 
+    // --- deferred work -----------------------------------------------------
+    // What a rank owes between heartbeat_send and heartbeat_await: the
+    // snapshot of the previous step's result and, after a rebalance, the
+    // adoption and rollback. Done there, it overlaps the peers' wait (and,
+    // past it, their patient strip_recv) instead of adding to the silence
+    // they time against the lease budget: under I/O load the two fsyncs of
+    // one snapshot alone have taken longer than 8 x 25 ms.
+    int unsaved_step = -1;          // step whose result awaits its snapshot
+    std::vector<int> to_adopt;      // orphans assigned here, not yet active
+    std::optional<int> rollback_to; // pending rollback line (-1 = initial)
+    auto settle = [&] {
+      if (unsaved_step >= 0) {
+        for (const int t : owned) {
+          save_task_state(el.state_dir, t, unsaved_step,
+                          task[static_cast<std::size_t>(t)].interior);
+        }
+        unsaved_step = -1;
+      }
+      if (!rollback_to) return;
+      util::WallTimer rebalance_timer;
+      for (const int t : to_adopt) activate(task[static_cast<std::size_t>(t)]);
+      to_adopt.clear();
+      // Roll every owned task (adopted and original alike) back to the
+      // newest common snapshot line; without snapshots, back to the initial
+      // frame.
+      const int line = *rollback_to;
+      for (const int t : owned) {
+        TaskState& ts = task[static_cast<std::size_t>(t)];
+        if (line >= 0) {
+          std::string why;
+          if (!load_task_state(el.state_dir, t, line, &ts.interior, &why)) {
+            throw std::runtime_error("elastic rollout: rollback of task " +
+                                     std::to_string(t) + " to step " +
+                                     std::to_string(line) + " failed: " + why);
+          }
+        } else {
+          ts.interior = domain::extract_interior(initial, ts.block);
+        }
+        ts.health.reset();
+      }
+      rollback_to.reset();
+      const double rebalance_s = rebalance_timer.seconds();
+      rebalance_seconds_of[ri] += rebalance_s;
+      rebalance_hist.observe(rebalance_s);
+    };
+
     // --- failure handling --------------------------------------------------
     // Every survivor runs this with the identical failed set at the identical
     // step (the all-to-all barrier guarantees it), so the rebalanced map and
     // the rollback line agree everywhere with no coordination. Returns the
     // step to resume from: the rolled-back line + 1 under recovery, or the
-    // current step (continue degraded) under --no-recover.
+    // current step (continue degraded) under --no-recover. Under recovery
+    // the adoption and rollback themselves are left to settle().
     auto handle_death = [&](const DeathNotice& notice, int step) -> int {
       if (std::find(notice.failed.begin(), notice.failed.end(), 0) !=
           notice.failed.end()) {
@@ -609,44 +659,24 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
                          << " border(s) degraded to zero padding";
         return step;
       }
-      util::WallTimer rebalance_timer;
       const std::vector<int> orphans = assign.rebalance(notice.failed);
-      int adopted = 0;
       for (const int t : orphans) {
-        if (assign.owner(t) == rank) {
-          activate(task[static_cast<std::size_t>(t)]);
-          ++adopted;
-        }
+        if (assign.owner(t) == rank) to_adopt.push_back(t);
       }
+      const int adopted = static_cast<int>(to_adopt.size());
       owned = assign.tasks_of(rank);
-      // Roll every owned task (adopted and original alike) back to the
-      // newest common snapshot line; without snapshots, back to the initial
-      // frame. The dead rank finished step-1 entirely — its snapshots for
-      // every line <= step-1 are durably on disk.
-      const int line = snapshots ? rollback_line(step - 1, el.state_every) : -1;
-      for (const int t : owned) {
-        TaskState& ts = task[static_cast<std::size_t>(t)];
-        if (line >= 0) {
-          std::string why;
-          if (!load_task_state(el.state_dir, t, line, &ts.interior, &why)) {
-            throw std::runtime_error("elastic rollout: rollback of task " +
-                                     std::to_string(t) + " to step " +
-                                     std::to_string(line) + " failed: " + why);
-          }
-        } else {
-          ts.interior = domain::extract_interior(initial, ts.block);
-        }
-        ts.health.reset();
-      }
-      const double rebalance_s = rebalance_timer.seconds();
+      // The dead rank completed step-1 but saved only up to step-2: each
+      // step's snapshot is written during the next step's settle(), which a
+      // rank killed at this step boundary never reached. Survivors hold
+      // every line <= step-1, so step-2 bounds the newest common line.
+      rollback_to = snapshots ? rollback_line(step - 2, el.state_every) : -1;
+      const int line = *rollback_to;
       recoveries_of[ri] += 1;
       adopted_of[ri] += adopted;
       blip_of[ri] += blip;
-      rebalance_seconds_of[ri] += rebalance_s;
       epoch_of[ri] = assign.epoch();
       adoptions_counter.add(static_cast<std::uint64_t>(adopted));
       epoch_gauge.set(static_cast<double>(assign.epoch()));
-      rebalance_hist.observe(rebalance_s);
       util::log_warn() << "rank " << rank << ": rank(s) " << who
                        << " dead at step " << step << "; epoch "
                        << assign.epoch() << ", adopted " << adopted
@@ -667,7 +697,6 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
     };
 
     int step = 0;
-    bool resend_hb = true;
     while (step < steps) {
       telemetry::Span step_span("elastic.step", "rollout");
       util::WallTimer step_timer;
@@ -676,23 +705,23 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
       // detection time.
       mpi::fault::check_kill_step(rank, step);
 
+      heartbeat_send(step);
+      settle();
       bool rolled_back = false;
       for (;;) {
         try {
-          heartbeat_barrier(step, resend_hb);
-          resend_hb = true;
+          heartbeat_await(step);
           break;
         } catch (const DeathNotice& notice) {
           const int resume = handle_death(notice, step);
           if (el.recover) {
+            // New epoch: the loop head sends a fresh heartbeat.
             step = resume;
-            resend_hb = true;  // new epoch: fresh heartbeat required
             rolled_back = true;
             break;
           }
           // --no-recover: the barrier re-runs without the dead peers; our
           // heartbeat for this step is already out, don't duplicate it.
-          resend_hb = false;
         }
       }
       if (rolled_back) {
@@ -737,12 +766,7 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
         }
       }
 
-      if (snapshots && (step + 1) % el.state_every == 0) {
-        for (const int t : owned) {
-          save_task_state(el.state_dir, t, step,
-                          task[static_cast<std::size_t>(t)].interior);
-        }
-      }
+      if (snapshots && (step + 1) % el.state_every == 0) unsaved_step = step;
 
       if (recorded(step)) {
         telemetry::Span gather_span("elastic.gather", "rollout");
@@ -802,6 +826,7 @@ core::RolloutResult elastic_rollout(const core::TrainConfig& config,
       }
       ++step;
     }
+    settle();  // the final step's snapshot
 
     const std::uint64_t growths = total_growths();
     steady_allocs[ri] = growths - warm_growths;

@@ -39,9 +39,9 @@ Tensor Conv2d::forward(const Tensor& x) {
   static telemetry::Counter& calls = telemetry::counter("nn.conv2d.forward");
   calls.add(1);
   telemetry::Span span("conv2d.forward", "nn");
-  // Whole-batch lowering: one wide im2col + one GEMM per layer. Training is
-  // fp32 by design, so the module graph dispatches through the reference
-  // backend explicitly (int8 applies to the fused inference path only).
+  // Banded lowering (nn/conv_ops.hpp). Training is fp32 by design, so the
+  // module graph dispatches through the reference backend explicitly (int8
+  // applies to the fused inference path only).
   Tensor y;
   backend::blocked_f32().conv2d_forward_batched(x, weight_, bias_, pad_, y,
                                                 ws_);
@@ -64,8 +64,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   calls.add(1);
   telemetry::Span span("conv2d.backward", "nn");
   Tensor grad_in;
-  // Batched backward: recomputes the wide column matrix once, then one GEMM
-  // each for dW and the data gradient.
+  // Banded backward: per band, re-lowers the input once, then one GEMM each
+  // for dW and the data gradient.
   backend::blocked_f32().conv2d_backward_batched(
       input_, grad_out, weight_, pad_, grad_in, weight_grad_, bias_grad_, ws_);
   return grad_in;

@@ -34,6 +34,7 @@ class Conv2d final : public Module {
   // Direct access for tests and checkpointing.
   Tensor& weight() { return weight_; }
   Tensor& bias() { return bias_; }
+  [[nodiscard]] const Conv2dWorkspace& workspace() const { return ws_; }
 
  private:
   std::int64_t in_channels_;
@@ -47,7 +48,7 @@ class Conv2d final : public Module {
   Tensor bias_grad_;    // same shape as bias_
 
   Tensor input_;         // cached forward input [N, Cin, H, W]
-  Conv2dWorkspace ws_;   // persistent batched im2col / GEMM scratch
+  Conv2dWorkspace ws_;   // persistent one-band im2col / GEMM scratch
 };
 
 }  // namespace parpde::nn

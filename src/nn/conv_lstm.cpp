@@ -80,8 +80,8 @@ Tensor ConvLSTM::forward(const Tensor& x) {
     cache.c_prev = c;
 
     // Fused gate pre-activations z = Wx * x_t + Wh * h_{t-1} + b.
-    backend::blocked_f32().conv2d_forward(cache.x, wx_, b_, pad_, zx, col_);
-    backend::blocked_f32().conv2d_forward(cache.h_prev, wh_, no_bias, pad_, zh, col_);
+    backend::blocked_f32().conv2d_forward(cache.x, wx_, b_, pad_, zx, ws_);
+    backend::blocked_f32().conv2d_forward(cache.h_prev, wh_, no_bias, pad_, zh, ws_);
     ops::axpy(zx, 1.0f, zh);
 
     // Activations: i, f, o sigmoid; g tanh. Stored post-activation.
@@ -119,7 +119,7 @@ Tensor ConvLSTM::forward(const Tensor& x) {
 
     // Readout y_t = Wy (1x1) * h_t + by.
     Tensor yt;
-    backend::blocked_f32().conv2d_forward(h, wy_, by_, 0, yt, col_);
+    backend::blocked_f32().conv2d_forward(h, wy_, by_, 0, yt, ws_);
     std::copy(yt.data(), yt.data() + out_channels_ * plane,
               y.data() + t * out_channels_ * plane);
     // `h` already holds h_t for the next iteration; stash it for BPTT by
@@ -164,8 +164,8 @@ Tensor ConvLSTM::backward(const Tensor& grad_out) {
     // Readout backward: dWy += dy ⊗ h_t ; dh = Wy^T dy + dh_next.
     std::copy(grad_out.data() + t * out_channels_ * plane,
               grad_out.data() + (t + 1) * out_channels_ * plane, dyt.data());
-    backend::blocked_f32().conv2d_backward_weights(h_t, dyt, 0, wy_grad_, by_grad_, col_);
-    backend::blocked_f32().conv2d_backward_data(dyt, wy_, 0, dh, col_);
+    backend::blocked_f32().conv2d_backward_weights(h_t, dyt, 0, wy_grad_, by_grad_, ws_);
+    backend::blocked_f32().conv2d_backward_data(dyt, wy_, 0, dh, ws_);
     ops::axpy(dh, 1.0f, dh_next);
 
     // Cell/gate backward.
@@ -184,14 +184,14 @@ Tensor ConvLSTM::backward(const Tensor& grad_out) {
     }
 
     // Gate-conv backward: parameters and both data paths.
-    backend::blocked_f32().conv2d_backward_weights(cache.x, dz, pad_, wx_grad_, b_grad_, col_);
+    backend::blocked_f32().conv2d_backward_weights(cache.x, dz, pad_, wx_grad_, b_grad_, ws_);
     {
       Tensor empty_bias;
       backend::blocked_f32().conv2d_backward_weights(cache.h_prev, dz, pad_, wh_grad_, empty_bias,
-                              col_);
+                              ws_);
     }
-    backend::blocked_f32().conv2d_backward_data(dz, wx_, pad_, dx, col_);
-    backend::blocked_f32().conv2d_backward_data(dz, wh_, pad_, dh_prev, col_);
+    backend::blocked_f32().conv2d_backward_data(dz, wx_, pad_, dx, ws_);
+    backend::blocked_f32().conv2d_backward_data(dz, wh_, pad_, dh_prev, ws_);
 
     std::copy(dx.data(), dx.data() + in_channels_ * plane,
               grad_in.data() + t * in_channels_ * plane);

@@ -12,8 +12,8 @@
 // sequence. This makes the cell a drop-in Module for the existing training
 // loop with shuffle disabled.
 
+#include "nn/conv_ops.hpp"
 #include "nn/module.hpp"
-#include "util/aligned.hpp"
 #include "util/random.hpp"
 
 namespace parpde::nn {
@@ -64,7 +64,7 @@ class ConvLSTM final : public Module {
   std::int64_t height_ = 0;
   std::int64_t width_ = 0;
 
-  util::AlignedVector<float> col_;  // conv scratch
+  Conv2dWorkspace ws_;  // conv band scratch
 };
 
 }  // namespace parpde::nn

@@ -1,6 +1,7 @@
 #include "nn/conv_ops.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -10,11 +11,6 @@
 namespace parpde::nn {
 
 namespace {
-
-// Cap on one workspace buffer (floats): 16M floats = 64 MiB. The full-scale
-// 256x256 runs fall back to smaller sample groups; the laptop-scale tests
-// lower whole batches at once.
-constexpr std::int64_t kMaxWorkspaceFloats = std::int64_t{1} << 24;
 
 ConvGeometry batched_geometry(const Tensor& x, const Tensor& w,
                               std::int64_t pad, const char* what) {
@@ -40,36 +36,219 @@ ConvGeometry geometry_of(const Tensor& x, const Tensor& w, std::int64_t pad,
   return ConvGeometry{x.dim(0), x.dim(1), x.dim(2), w.dim(2), pad};
 }
 
+// Grow-only resize: a shared workspace serving several layer shapes never
+// re-zeroes (or reallocates) a tail it already owns.
+float* ensure(util::AlignedVector<float>& buf, std::int64_t floats) {
+  if (static_cast<std::int64_t>(buf.size()) < floats) {
+    buf.resize(static_cast<std::size_t>(floats));
+  }
+  return buf.data();
+}
+
+// dst[i] = act(src[i] + *bias) over one channel's band (b = 0 without bias).
+void epilogue(const float* src, float* dst, std::int64_t n, const float* bias,
+              Fused fused, float slope) {
+  const float b = bias != nullptr ? *bias : 0.0f;
+  switch (fused) {
+    case Fused::kNone:
+      if (bias == nullptr) {
+        std::memcpy(dst, src, static_cast<std::size_t>(n) * sizeof(float));
+      } else {
+        for (std::int64_t i = 0; i < n; ++i) dst[i] = src[i] + b;
+      }
+      break;
+    case Fused::kLeakyReLU:
+      for (std::int64_t i = 0; i < n; ++i) {
+        const float v = src[i] + b;
+        dst[i] = v >= 0.0f ? v : slope * v;
+      }
+      break;
+    case Fused::kReLU:
+      for (std::int64_t i = 0; i < n; ++i) {
+        const float v = src[i] + b;
+        dst[i] = v > 0.0f ? v : 0.0f;
+      }
+      break;
+    case Fused::kTanh:
+      for (std::int64_t i = 0; i < n; ++i) dst[i] = std::tanh(src[i] + b);
+      break;
+  }
+}
+
 }  // namespace
 
+std::int64_t conv_band_rows(const ConvGeometry& g) {
+  const std::int64_t row_bytes = g.col_rows() * g.out_width() *
+                                 static_cast<std::int64_t>(sizeof(float));
+  if (row_bytes <= 0 || g.out_height() <= 0) return 1;
+  return std::clamp<std::int64_t>(kConvBandBytes / row_bytes, 1,
+                                  g.out_height());
+}
+
+void reserve_forward(Conv2dWorkspace& ws, const ConvGeometry& g,
+                     std::int64_t cout) {
+  if (g.col_rows() <= 0 || g.out_height() <= 0 || g.out_width() <= 0) return;
+  // Widest band of any input up to g: one output row, or the whole budget,
+  // but never more than the full plane.
+  const std::int64_t budget_cols =
+      kConvBandBytes / (g.col_rows() * static_cast<std::int64_t>(sizeof(float)));
+  const std::int64_t cols =
+      std::min(g.col_cols(), std::max(g.out_width(), budget_cols));
+  const std::int64_t slots = util::ThreadPool::global().degree();
+  ensure(ws.col, slots * g.col_rows() * cols);
+  ensure(ws.out, slots * cout * cols);
+}
+
+void conv2d_forward_bands(const float* x, std::int64_t batch,
+                          const ConvGeometry& g, const float* w,
+                          std::int64_t cout, const float* bias, Fused fused,
+                          float slope, float* y, Conv2dWorkspace& ws) {
+  const std::int64_t ow = g.out_width(), oh = g.out_height();
+  const std::int64_t plane = oh * ow;
+  const std::int64_t rows = conv_band_rows(g);
+  const std::int64_t bands = batch * ((oh + rows - 1) / rows);
+  const std::int64_t col_floats = g.col_rows() * rows * ow;
+  const std::int64_t out_floats = cout * rows * ow;
+  // Forward bands are independent, so they spread over the pool whole: slot
+  // j owns panel pair j and runs bands j, j + slots, ... start to finish on
+  // one thread (nested GEMM fan-out runs inline). With one slot the GEMM
+  // fans out instead. Bits are the same either way.
+  auto& pool = util::ThreadPool::global();
+  const std::int64_t slots = std::min<std::int64_t>(pool.degree(), bands);
+  float* col = ensure(ws.col, slots * col_floats);
+  float* out = ensure(ws.out, slots * out_floats);
+  const std::int64_t per_sample = bands / batch;
+  pool.parallel_for(slots, 1, [&](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t slot = begin; slot < end; ++slot) {
+      float* pcol = col + slot * col_floats;
+      float* pout = out + slot * out_floats;
+      for (std::int64_t t = slot; t < bands; t += slots) {
+        const std::int64_t s = t / per_sample;
+        const std::int64_t y0 = (t % per_sample) * rows;
+        const std::int64_t y1 = std::min(oh, y0 + rows);
+        const std::int64_t n = (y1 - y0) * ow;
+        im2col_rows(x + s * g.in_channels * g.height * g.width, g, y0, y1,
+                    pcol);
+        // out [Cout x n] = W [Cout x Cin*k*k] * col: each element's
+        // k-reduction runs in the same order as in a full-width GEMM.
+        gemm(w, pcol, pout, cout, g.col_rows(), n);
+        float* ys = y + s * cout * plane + y0 * ow;
+        for (std::int64_t c = 0; c < cout; ++c) {
+          epilogue(pout + c * n, ys + c * plane, n,
+                   bias != nullptr ? bias + c : nullptr, fused, slope);
+        }
+      }
+    }
+  });
+}
+
+void conv2d_backward_bands(const float* x, const float* dy, std::int64_t batch,
+                           const ConvGeometry& g, const float* w,
+                           std::int64_t cout, float* dx, float* dw, float* db,
+                           Conv2dWorkspace& ws) {
+  const std::int64_t ow = g.out_width(), oh = g.out_height();
+  const std::int64_t plane = oh * ow;
+  const std::int64_t in_stride = g.in_channels * g.height * g.width;
+  const std::int64_t rows = conv_band_rows(g);
+  const std::int64_t band = rows * ow;
+  auto& pool = util::ThreadPool::global();
+  // db[c] += sum of channel c over the batch, one thread per channel summing
+  // left to right: deterministic at any worker count.
+  if (db != nullptr) {
+    pool.parallel_for(cout, 1, [&](std::int64_t begin, std::int64_t end) {
+      for (std::int64_t c = begin; c < end; ++c) {
+        float acc = 0.0f;
+        for (std::int64_t s = 0; s < batch; ++s) {
+          const float* p = dy + (s * cout + c) * plane;
+          for (std::int64_t i = 0; i < plane; ++i) acc += p[i];
+        }
+        db[c] += acc;
+      }
+    });
+  }
+  if (dw == nullptr && dx == nullptr) return;
+  // Samples fall into a fixed number of groups (independent of the pool);
+  // each group accumulates its own dW partial, and the partials are summed
+  // into dw in group order, so groups can run on any threads without
+  // touching the result. Slot j owns panel set j and runs groups
+  // j, j + slots, ... on one thread (nested GEMM fan-out runs inline).
+  const std::int64_t kk = g.col_rows();
+  const std::int64_t groups = std::min(kConvGradGroups, batch);
+  const std::int64_t slots = std::min<std::int64_t>(pool.degree(), groups);
+  const std::int64_t dw_floats = cout * kk;
+  float* col = dw != nullptr ? ensure(ws.col, slots * kk * band) : nullptr;
+  float* dyp = ensure(ws.out, slots * cout * band);
+  float* dcol = dx != nullptr ? ensure(ws.dcol, slots * kk * band) : nullptr;
+  float* partial = nullptr;
+  if (dw != nullptr) {
+    partial = ensure(ws.dw, groups * dw_floats);
+    std::memset(partial, 0,
+                static_cast<std::size_t>(groups * dw_floats) * sizeof(float));
+  }
+  if (dx != nullptr) {
+    std::memset(dx, 0,
+                static_cast<std::size_t>(batch * in_stride) * sizeof(float));
+  }
+  pool.parallel_for(slots, 1, [&](std::int64_t begin, std::int64_t end) {
+    for (std::int64_t slot = begin; slot < end; ++slot) {
+      float* pcol = col != nullptr ? col + slot * kk * band : nullptr;
+      float* pdy = dyp + slot * cout * band;
+      float* pdcol = dcol != nullptr ? dcol + slot * kk * band : nullptr;
+      for (std::int64_t grp = slot; grp < groups; grp += slots) {
+        for (std::int64_t s = grp; s < batch; s += groups) {
+          const float* dys = dy + s * cout * plane;
+          for (std::int64_t y0 = 0; y0 < oh; y0 += rows) {
+            const std::int64_t y1 = std::min(oh, y0 + rows);
+            const std::int64_t n = (y1 - y0) * ow;
+            // Gather the band of dY into a dense [Cout x n] panel.
+            for (std::int64_t c = 0; c < cout; ++c) {
+              std::memcpy(pdy + c * n, dys + c * plane + y0 * ow,
+                          static_cast<std::size_t>(n) * sizeof(float));
+            }
+            if (dw != nullptr) {
+              // partial += dY_band [Cout x n] * col^T.
+              im2col_rows(x + s * in_stride, g, y0, y1, pcol);
+              gemm_bt_acc(pdy, pcol, partial + grp * dw_floats, cout, n, kk);
+            }
+            if (dx != nullptr) {
+              // dcol [Cin*k*k x n] = W^T * dY_band, scattered straight back.
+              gemm_at(w, pdy, pdcol, kk, cout, n);
+              col2im_rows(pdcol, g, y0, y1, dx + s * in_stride);
+            }
+          }
+        }
+      }
+    }
+  });
+  if (dw != nullptr) {
+    for (std::int64_t grp = 0; grp < groups; ++grp) {
+      const float* p = partial + grp * dw_floats;
+      for (std::int64_t i = 0; i < dw_floats; ++i) dw[i] += p[i];
+    }
+  }
+}
+
 void conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                    std::int64_t pad, Tensor& y, util::AlignedVector<float>& col) {
+                    std::int64_t pad, Tensor& y, Conv2dWorkspace& ws) {
   const ConvGeometry g = geometry_of(x, w, pad, "conv2d_forward");
   const std::int64_t cout = w.dim(0);
   const std::int64_t oh = g.out_height(), ow = g.out_width();
   if (oh <= 0 || ow <= 0) {
     throw std::invalid_argument("conv2d_forward: input smaller than kernel");
   }
+  if (!b.empty() && b.size() != cout) {
+    throw std::invalid_argument("conv2d_forward: bias size mismatch");
+  }
   if (y.ndim() != 3 || y.dim(0) != cout || y.dim(1) != oh || y.dim(2) != ow) {
     y = Tensor({cout, oh, ow});
   }
-  col.resize(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
-  im2col(x.data(), g, col.data());
-  gemm(w.data(), col.data(), y.data(), cout, g.col_rows(), g.col_cols());
-  if (!b.empty()) {
-    if (b.size() != cout) {
-      throw std::invalid_argument("conv2d_forward: bias size mismatch");
-    }
-    for (std::int64_t c = 0; c < cout; ++c) {
-      float* plane = y.data() + c * oh * ow;
-      const float bias = b[c];
-      for (std::int64_t i = 0; i < oh * ow; ++i) plane[i] += bias;
-    }
-  }
+  conv2d_forward_bands(x.data(), 1, g, w.data(), cout,
+                       b.empty() ? nullptr : b.data(), Fused::kNone, 0.0f,
+                       y.data(), ws);
 }
 
 void conv2d_backward_data(const Tensor& dy, const Tensor& w, std::int64_t pad,
-                          Tensor& dx, util::AlignedVector<float>& col) {
+                          Tensor& dx, Conv2dWorkspace& ws) {
   if (dy.ndim() != 3 || w.ndim() != 4 || dy.dim(0) != w.dim(0)) {
     throw std::invalid_argument(
         "conv2d_backward_data: expected dy [Cout,OH,OW], w [Cout,Cin,k,k]");
@@ -81,39 +260,20 @@ void conv2d_backward_data(const Tensor& dy, const Tensor& w, std::int64_t pad,
   if (g.out_height() != dy.dim(1) || g.out_width() != dy.dim(2)) {
     throw std::invalid_argument("conv2d_backward_data: shape mismatch");
   }
-  col.resize(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
-  gemm_at(w.data(), dy.data(), col.data(), g.col_rows(), w.dim(0), g.col_cols());
-  dx.fill(0.0f);
-  col2im(col.data(), g, dx.data());
+  conv2d_backward_bands(nullptr, dy.data(), 1, g, w.data(), w.dim(0),
+                        dx.data(), nullptr, nullptr, ws);
 }
 
 void conv2d_backward_weights(const Tensor& x, const Tensor& dy, std::int64_t pad,
-                             Tensor& dw, Tensor& db, util::AlignedVector<float>& col) {
+                             Tensor& dw, Tensor& db, Conv2dWorkspace& ws) {
   const ConvGeometry g = geometry_of(x, dw, pad, "conv2d_backward_weights");
   const std::int64_t cout = dw.dim(0);
-  if (dy.dim(0) != cout || dy.dim(1) != g.out_height() ||
+  if (dy.ndim() != 3 || dy.dim(0) != cout || dy.dim(1) != g.out_height() ||
       dy.dim(2) != g.out_width()) {
     throw std::invalid_argument("conv2d_backward_weights: dy shape mismatch");
   }
-  col.resize(static_cast<std::size_t>(g.col_rows() * g.col_cols()));
-  im2col(x.data(), g, col.data());
-  gemm_bt_acc(dy.data(), col.data(), dw.data(), cout, g.col_cols(),
-              g.col_rows());
-  if (!db.empty()) {
-    const std::int64_t plane = g.out_height() * g.out_width();
-    for (std::int64_t c = 0; c < cout; ++c) {
-      const float* p = dy.data() + c * plane;
-      float acc = 0.0f;
-      for (std::int64_t i = 0; i < plane; ++i) acc += p[i];
-      db[c] += acc;
-    }
-  }
-}
-
-std::int64_t conv2d_batch_group(const ConvGeometry& g, std::int64_t batch) {
-  const std::int64_t per_sample = g.col_rows() * g.col_cols();
-  if (per_sample <= 0) return 1;
-  return std::clamp<std::int64_t>(kMaxWorkspaceFloats / per_sample, 1, batch);
+  conv2d_backward_bands(x.data(), dy.data(), 1, g, nullptr, cout, nullptr,
+                        dw.data(), db.empty() ? nullptr : db.data(), ws);
 }
 
 void conv2d_forward_batched(const Tensor& x, const Tensor& w, const Tensor& b,
@@ -129,41 +289,13 @@ void conv2d_forward_batched(const Tensor& x, const Tensor& w, const Tensor& b,
     throw std::invalid_argument("conv2d_forward_batched: bias size mismatch");
   }
   const std::int64_t n = x.dim(0);
-  const std::int64_t plane = oh * ow;
-  const std::int64_t in_stride = g.in_channels * g.height * g.width;
-  const std::int64_t out_stride = cout * plane;
   if (y.ndim() != 4 || y.dim(0) != n || y.dim(1) != cout || y.dim(2) != oh ||
       y.dim(3) != ow) {
     y = Tensor({n, cout, oh, ow});
   }
-
-  const std::int64_t group = conv2d_batch_group(g, n);
-  auto& pool = util::ThreadPool::global();
-  for (std::int64_t g0 = 0; g0 < n; g0 += group) {
-    const std::int64_t gn = std::min(group, n - g0);
-    const std::int64_t wide = gn * plane;
-    ws.col.resize(static_cast<std::size_t>(g.col_rows() * wide));
-    ws.out.resize(static_cast<std::size_t>(cout * wide));
-    im2col_batched(x.data() + g0 * in_stride, gn, g, ws.col.data());
-    // out [Cout x gn*plane] = W [Cout x Cin*k*k] * col: one wide GEMM for the
-    // whole group instead of gn narrow ones.
-    gemm(w.data(), ws.col.data(), ws.out.data(), cout, g.col_rows(), wide);
-    // Scatter the channel-major GEMM output into NCHW order, fusing the bias
-    // add. Planes are disjoint, so the parallel loop is deterministic.
-    pool.parallel_for(gn * cout, 4, [&](std::int64_t begin, std::int64_t end) {
-      for (std::int64_t t = begin; t < end; ++t) {
-        const std::int64_t s = t / cout, c = t % cout;
-        const float* src = ws.out.data() + c * wide + s * plane;
-        float* dst = y.data() + (g0 + s) * out_stride + c * plane;
-        if (b.empty()) {
-          std::memcpy(dst, src, static_cast<std::size_t>(plane) * sizeof(float));
-        } else {
-          const float bias = b[c];
-          for (std::int64_t i = 0; i < plane; ++i) dst[i] = src[i] + bias;
-        }
-      }
-    });
-  }
+  conv2d_forward_bands(x.data(), n, g, w.data(), cout,
+                       b.empty() ? nullptr : b.data(), Fused::kNone, 0.0f,
+                       y.data(), ws);
 }
 
 void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
@@ -171,10 +303,9 @@ void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
                              Tensor& dw, Tensor& db, Conv2dWorkspace& ws) {
   const ConvGeometry g = batched_geometry(x, w, pad, "conv2d_backward_batched");
   const std::int64_t cout = w.dim(0);
-  const std::int64_t oh = g.out_height(), ow = g.out_width();
   const std::int64_t n = x.dim(0);
   if (dy.ndim() != 4 || dy.dim(0) != n || dy.dim(1) != cout ||
-      dy.dim(2) != oh || dy.dim(3) != ow) {
+      dy.dim(2) != g.out_height() || dy.dim(3) != g.out_width()) {
     throw std::invalid_argument("conv2d_backward_batched: dy shape mismatch");
   }
   if (!dw.same_shape(w)) {
@@ -183,54 +314,9 @@ void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
   if (!db.empty() && db.size() != cout) {
     throw std::invalid_argument("conv2d_backward_batched: db size mismatch");
   }
-  const std::int64_t plane = oh * ow;
-  const std::int64_t in_stride = g.in_channels * g.height * g.width;
-  const std::int64_t out_stride = cout * plane;
-  if (!dx.same_shape(x)) {
-    dx = Tensor(x.shape());
-  } else {
-    dx.fill(0.0f);
-  }
-
-  const std::int64_t group = conv2d_batch_group(g, n);
-  auto& pool = util::ThreadPool::global();
-  for (std::int64_t g0 = 0; g0 < n; g0 += group) {
-    const std::int64_t gn = std::min(group, n - g0);
-    const std::int64_t wide = gn * plane;
-    ws.col.resize(static_cast<std::size_t>(g.col_rows() * wide));
-    ws.dy.resize(static_cast<std::size_t>(cout * wide));
-    ws.dcol.resize(static_cast<std::size_t>(g.col_rows() * wide));
-    // Gather dY from NCHW into the channel-major layout the wide GEMMs need.
-    pool.parallel_for(gn * cout, 4, [&](std::int64_t begin, std::int64_t end) {
-      for (std::int64_t t = begin; t < end; ++t) {
-        const std::int64_t s = t / cout, c = t % cout;
-        std::memcpy(ws.dy.data() + c * wide + s * plane,
-                    dy.data() + (g0 + s) * out_stride + c * plane,
-                    static_cast<std::size_t>(plane) * sizeof(float));
-      }
-    });
-    // db[c] += sum over the channel's row. Channels are independent and each
-    // row is summed left-to-right by one thread: deterministic at any worker
-    // count.
-    if (!db.empty()) {
-      pool.parallel_for(cout, 1, [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t c = begin; c < end; ++c) {
-          const float* row = ws.dy.data() + c * wide;
-          float acc = 0.0f;
-          for (std::int64_t i = 0; i < wide; ++i) acc += row[i];
-          db[c] += acc;
-        }
-      });
-    }
-    // dW += dY [Cout x wide] * col^T: the k-reduction over all gn*plane
-    // columns stays on a single thread per dW element inside the GEMM.
-    im2col_batched(x.data() + g0 * in_stride, gn, g, ws.col.data());
-    gemm_bt_acc(ws.dy.data(), ws.col.data(), dw.data(), cout, wide,
-                g.col_rows());
-    // dcol [Cin*k*k x wide] = W^T * dY, scattered back per sample.
-    gemm_at(w.data(), ws.dy.data(), ws.dcol.data(), g.col_rows(), cout, wide);
-    col2im_batched(ws.dcol.data(), gn, g, dx.data() + g0 * in_stride);
-  }
+  if (!dx.same_shape(x)) dx = Tensor(x.shape());
+  conv2d_backward_bands(x.data(), dy.data(), n, g, w.data(), cout, dx.data(),
+                        dw.data(), db.empty() ? nullptr : db.data(), ws);
 }
 
 }  // namespace parpde::nn

@@ -1,15 +1,20 @@
 #pragma once
 
 // Convolution primitives (stride 1, square kernel, symmetric zero padding)
-// built on im2col + GEMM.
+// built on im2col + GEMM: one lowering for training and inference.
 //
-// The batched entry points lower a whole [N, C, H, W] batch into one wide
-// [Cin*k*k x N*OH*OW] column matrix and issue a single large GEMM per layer,
-// instead of N small ones — the GEMM gets enough columns to block and thread
-// well, and the per-layer Conv2dWorkspace keeps every buffer alive across
-// batches (no steady-state allocation). The single-sample versions remain for
-// recurrent cells (ConvLSTM) whose backward-through-time pass re-evaluates
-// per timestep.
+// Every entry point streams each sample in bands of output rows: im2col one
+// band into a panel of at most kConvBandBytes (L2-resident), run the GEMM(s)
+// on it, consume it, lower the next. No column matrix exists for a whole
+// sample or batch, so each im2col -> GEMM -> col2im round trip stays in
+// cache. The band height depends on the geometry and that constant alone,
+// never on the thread count or the machine.
+//
+// Forward bits do not depend on the band split: the blocked GEMM's
+// per-element k-reduction order is independent of the matrix width, and the
+// epilogue is elementwise. Backward accumulates dW band by band into a fixed
+// number of sample-group partials and scatters each band into dx, in an
+// order fixed by geometry and batch size: bit-identical at any worker count.
 
 #include "tensor/im2col.hpp"
 #include "tensor/tensor.hpp"
@@ -17,21 +22,60 @@
 
 namespace parpde::nn {
 
-// Persistent per-layer scratch for the batched convolution path. Buffers only
-// grow; a layer reuses them for every batch of the same geometry. All buffers
-// are 64-byte aligned so the GEMM micro-kernels get clean vector loads.
+// Activation fused into a convolution's epilogue (the ForwardPlan peephole
+// merges a conv step with the pointwise layer that follows it).
+enum class Fused { kNone, kLeakyReLU, kReLU, kTanh };
+
+// Byte budget of one band's im2col panel. Throughput is flat between 256 KiB
+// and 1 MiB panels on the Table-I shapes; the smaller end leaves room for the
+// backward-data panel beside it in a 1 MiB L2.
+inline constexpr std::int64_t kConvBandBytes = std::int64_t{256} << 10;
+
+// Output rows per band: as many as fit kConvBandBytes, at least one.
+std::int64_t conv_band_rows(const ConvGeometry& g);
+
+// Sample groups the backward pass accumulates dW in (fewer when the batch
+// is smaller): groups may run on separate threads, and their partials are
+// summed in group order, so dW is the same at any thread count.
+inline constexpr std::int64_t kConvGradGroups = 4;
+
+// Persistent per-layer scratch: one band's panels per pool thread, plus the
+// backward's per-group dW partials. Buffers only grow; a layer reuses them
+// for every call, so steady state allocates nothing. All buffers are
+// 64-byte aligned so the GEMM micro-kernels get clean vector loads.
 struct Conv2dWorkspace {
-  util::AlignedVector<float> col;   // [Cin*k*k x G*OH*OW] batched im2col columns
-  util::AlignedVector<float> out;   // [Cout    x G*OH*OW] channel-major GEMM output
-  util::AlignedVector<float> dy;    // [Cout    x G*OH*OW] channel-major gathered dY
-  util::AlignedVector<float> dcol;  // [Cin*k*k x G*OH*OW] backward-data columns
+  util::AlignedVector<float> col;   // [Cin*k*k x band] im2col panels
+  util::AlignedVector<float> out;   // [Cout    x band] GEMM output / gathered dY
+  util::AlignedVector<float> dcol;  // [Cin*k*k x band] backward-data panels
+  util::AlignedVector<float> dw;    // [groups x Cout*Cin*k*k] dW partials
 };
 
-// Number of samples lowered per wide GEMM: the whole batch when the column
-// matrix fits the workspace budget, otherwise the largest group that does.
-// Depends only on the problem geometry (never on thread count), so training
-// results are reproducible across machines.
-std::int64_t conv2d_batch_group(const ConvGeometry& g, std::int64_t batch);
+// Grows `ws` so forward bands of every input up to g's extent fit without
+// regrowing (inference plans pre-size with this).
+void reserve_forward(Conv2dWorkspace& ws, const ConvGeometry& g,
+                     std::int64_t cout);
+
+// --- the banded lowering -----------------------------------------------------
+// Raw-pointer kernels behind every conv entry point; only src/backend and
+// this file may call them (tools/parpde_lint.py, rule backend-bypass).
+
+// y [B, Cout, OH, OW] = act(W * im2col(x) + bias) for x [B, Cin, H, W] and
+// W [Cout x Cin*k*k]. bias may be nullptr; per element the float sequence
+// is t = v + b (b = 0 without bias, skipped for kNone), then the activation.
+void conv2d_forward_bands(const float* x, std::int64_t batch,
+                          const ConvGeometry& g, const float* w,
+                          std::int64_t cout, const float* bias, Fused fused,
+                          float slope, float* y, Conv2dWorkspace& ws);
+
+// For x, dx [B, Cin, H, W] and dy [B, Cout, OH, OW]: dx = W^T (*) dy
+// (overwritten), dw += dy (*) x and db += sum(dy) (accumulating). A null dx,
+// dw or db skips that gradient; x is only read when dw is set.
+void conv2d_backward_bands(const float* x, const float* dy, std::int64_t batch,
+                           const ConvGeometry& g, const float* w,
+                           std::int64_t cout, float* dx, float* dw, float* db,
+                           Conv2dWorkspace& ws);
+
+// --- Tensor entry points -----------------------------------------------------
 
 // y [N, Cout, OH, OW] = w (*) x + b for x [N, Cin, H, W], w [Cout, Cin, k, k]
 // and b [Cout] (b may be empty to skip the bias).
@@ -44,18 +88,19 @@ void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
                              const Tensor& w, std::int64_t pad, Tensor& dx,
                              Tensor& dw, Tensor& db, Conv2dWorkspace& ws);
 
+// Single-sample forms for recurrent cells (ConvLSTM), whose
+// backward-through-time pass re-evaluates per timestep.
 // y [Cout, OH, OW] = w (*) x + b, where x is [Cin, H, W], w is
 // [Cout, Cin, k, k] and b is [Cout] (b may be empty to skip the bias).
-// `col` is caller-provided scratch resized as needed.
 void conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,
-                    std::int64_t pad, Tensor& y, util::AlignedVector<float>& col);
+                    std::int64_t pad, Tensor& y, Conv2dWorkspace& ws);
 
 // dx = w^T (*) dy (backward-data). dx is overwritten, shaped like x.
 void conv2d_backward_data(const Tensor& dy, const Tensor& w, std::int64_t pad,
-                          Tensor& dx, util::AlignedVector<float>& col);
+                          Tensor& dx, Conv2dWorkspace& ws);
 
 // dw += dy (*) x, db += sum(dy) (backward-weights, accumulating).
 void conv2d_backward_weights(const Tensor& x, const Tensor& dy, std::int64_t pad,
-                             Tensor& dw, Tensor& db, util::AlignedVector<float>& col);
+                             Tensor& dw, Tensor& db, Conv2dWorkspace& ws);
 
 }  // namespace parpde::nn

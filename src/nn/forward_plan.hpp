@@ -4,8 +4,9 @@
 // layers (the paper's Table-I subdomain network). The plan walks the model
 // once at construction, pre-allocates every per-layer activation buffer, asks
 // the selected KernelBackend for a PlanContext holding the backend-side state
-// (im2col workspace for fp32; quantized weights and int8 workspaces for
-// int8), and then evaluates forward passes into those buffers: the
+// (one band of im2col workspace per pool thread for fp32; quantized weights
+// and int8 workspaces for int8), and then evaluates forward passes into
+// those buffers: the
 // steady-state step performs zero heap allocations on either backend
 // (verified by the counting-allocator tests in tests/test_rollout_overlap.cpp
 // and tests/test_quant_rollout.cpp).
@@ -71,8 +72,9 @@ class ForwardPlan {
   Output run(const float* x, std::int64_t h, std::int64_t w);
 
   // Evaluates the model on `batch` stacked samples [B, in_channels, h, w] in
-  // one pass per layer: every conv lowers the whole batch into a single wide
-  // GEMM (backend conv_forward_batched). Output::data points at the stacked
+  // one pass per layer: one backend conv_forward_batched call per conv (int8
+  // lowers sample groups into one wide GEMM; fp32 streams each sample
+  // through the banded lowering). Output::data points at the stacked
   // [B, out_channels, oh, ow] result; the per-sample shape is in the Output
   // fields. Each sample's bytes are identical to a solo run() on that sample
   // — the cross-session coalescing contract SurrogateServer builds on (see

@@ -13,8 +13,8 @@
 // The scheduler thread pops up to max_batch requests (waiting at most
 // coalesce_window_ms for the batch to fill), stacks the sessions' frames into
 // one [B, C, H, W] staging buffer and advances all of them with a single
-// ForwardPlan::run_batched call — one wide im2col + GEMM per layer instead of
-// B narrow ones. With coalesce = false the scheduler dispatches one request
+// ForwardPlan::run_batched call — one batched conv call per layer instead of
+// B solo ones. With coalesce = false the scheduler dispatches one request
 // at a time through the solo ForwardPlan::run path (the serial baseline
 // bench_serving compares against).
 //

@@ -7,20 +7,19 @@
 
 namespace parpde {
 
-void im2col(const float* x, const ConvGeometry& g, float* col,
-            std::int64_t ld) {
-  const std::int64_t oh = g.out_height();
+void im2col_rows(const float* x, const ConvGeometry& g, std::int64_t y0,
+                 std::int64_t y1, float* col, std::int64_t ld) {
   const std::int64_t ow = g.out_width();
-  const std::int64_t cols = ld < 0 ? oh * ow : ld;
+  const std::int64_t cols = ld < 0 ? (y1 - y0) * ow : ld;
   std::int64_t row = 0;
   for (std::int64_t c = 0; c < g.in_channels; ++c) {
     const float* plane = x + c * g.height * g.width;
     for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
       for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
         float* out = col + row * cols;
-        for (std::int64_t y = 0; y < oh; ++y) {
+        for (std::int64_t y = y0; y < y1; ++y) {
           const std::int64_t sy = y + ky - g.pad;
-          float* orow = out + y * ow;
+          float* orow = out + (y - y0) * ow;
           if (sy < 0 || sy >= g.height) {
             std::memset(orow, 0, static_cast<std::size_t>(ow) * sizeof(float));
             continue;
@@ -47,21 +46,20 @@ void im2col(const float* x, const ConvGeometry& g, float* col,
   }
 }
 
-void col2im(const float* col, const ConvGeometry& g, float* x_grad,
-            std::int64_t ld) {
-  const std::int64_t oh = g.out_height();
+void col2im_rows(const float* col, const ConvGeometry& g, std::int64_t y0,
+                 std::int64_t y1, float* x_grad, std::int64_t ld) {
   const std::int64_t ow = g.out_width();
-  const std::int64_t cols = ld < 0 ? oh * ow : ld;
+  const std::int64_t cols = ld < 0 ? (y1 - y0) * ow : ld;
   std::int64_t row = 0;
   for (std::int64_t c = 0; c < g.in_channels; ++c) {
     float* plane = x_grad + c * g.height * g.width;
     for (std::int64_t ky = 0; ky < g.kernel; ++ky) {
       for (std::int64_t kx = 0; kx < g.kernel; ++kx, ++row) {
         const float* in = col + row * cols;
-        for (std::int64_t y = 0; y < oh; ++y) {
+        for (std::int64_t y = y0; y < y1; ++y) {
           const std::int64_t sy = y + ky - g.pad;
           if (sy < 0 || sy >= g.height) continue;
-          const float* irow = in + y * ow;
+          const float* irow = in + (y - y0) * ow;
           float* drow = plane + sy * g.width;
           const std::int64_t x_lo = std::max<std::int64_t>(0, g.pad - kx);
           const std::int64_t x_hi =

@@ -4,7 +4,8 @@
 // symmetric zero padding). The column matrix layout is
 //   [Cin * kh * kw,  Hout * Wout]
 // so that conv forward is a single GEMM with the [Cout, Cin*kh*kw] weight
-// matrix.
+// matrix. The row-range variants lower only output rows [y0, y1) into a
+// [Cin*kh*kw, (y1-y0) * Wout] band, the unit nn/conv_ops streams.
 
 #include <cstdint>
 
@@ -25,25 +26,36 @@ struct ConvGeometry {
   [[nodiscard]] std::int64_t col_cols() const { return out_height() * out_width(); }
 };
 
-// Expands one CHW sample `x` into the column matrix `col` (preallocated,
-// col_rows x col_cols, row-major). Out-of-range taps contribute zeros.
-// `ld` is the row stride (leading dimension) of `col`; the default -1 means
-// a dense matrix (ld == col_cols). A larger ld lets several samples share one
-// wide [col_rows x N*col_cols] matrix, each writing its own column window.
-void im2col(const float* x, const ConvGeometry& g, float* col,
-            std::int64_t ld = -1);
+// Expands output rows [y0, y1) of one CHW sample `x` into the band `col`
+// (preallocated, col_rows x (y1-y0)*out_width, row-major). Out-of-range taps
+// contribute zeros. `ld` is the row stride (leading dimension) of `col`; the
+// default -1 means a dense band. A larger ld lets several samples share one
+// wide matrix, each writing its own column window.
+void im2col_rows(const float* x, const ConvGeometry& g, std::int64_t y0,
+                 std::int64_t y1, float* col, std::int64_t ld = -1);
 
-// Scatters a column matrix back into CHW sample gradients, accumulating
-// overlapping contributions. `x_grad` must be zero-initialized by the caller.
-// `ld` as in im2col.
-void col2im(const float* col, const ConvGeometry& g, float* x_grad,
-            std::int64_t ld = -1);
+// Scatters the band of output rows [y0, y1) back into the CHW sample
+// gradient, accumulating overlapping contributions. `ld` as in im2col_rows.
+void col2im_rows(const float* col, const ConvGeometry& g, std::int64_t y0,
+                 std::int64_t y1, float* x_grad, std::int64_t ld = -1);
+
+// Whole-sample forms (all output rows). col2im's `x_grad` must be
+// zero-initialized by the caller.
+inline void im2col(const float* x, const ConvGeometry& g, float* col,
+                   std::int64_t ld = -1) {
+  im2col_rows(x, g, 0, g.out_height(), col, ld);
+}
+inline void col2im(const float* col, const ConvGeometry& g, float* x_grad,
+                   std::int64_t ld = -1) {
+  col2im_rows(col, g, 0, g.out_height(), x_grad, ld);
+}
 
 // Whole-batch lowering: expands `batch` NCHW samples at `x` into one wide
 // column matrix col[col_rows x batch*col_cols], sample s occupying columns
 // [s*col_cols, (s+1)*col_cols). Samples are processed in parallel on the
 // global thread pool; each writes a disjoint column window, so the result is
-// bit-identical at any worker count.
+// bit-identical at any worker count. Reference lowering for benchmarks; the
+// convs themselves lower one band at a time (nn/conv_ops.hpp).
 void im2col_batched(const float* x, std::int64_t batch, const ConvGeometry& g,
                     float* col);
 

@@ -1,12 +1,16 @@
-// Functional conv primitives: consistency with the Conv2d layer and adjoint
-// identities.
+// Functional conv primitives: consistency with the Conv2d layer, adjoint
+// identities, and the banded lowering against full-width references.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "core/trainer.hpp"
 #include "helpers.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/conv_ops.hpp"
-#include "util/aligned.hpp"
+#include "tensor/gemm.hpp"
 #include "util/random.hpp"
 
 namespace parpde::nn {
@@ -30,8 +34,8 @@ TEST(ConvOps, ForwardMatchesConv2dLayer) {
   const Tensor expected = layer.forward(batched);
 
   Tensor y;
-  util::AlignedVector<float> col;
-  conv2d_forward(x, layer.weight(), layer.bias(), 1, y, col);
+  Conv2dWorkspace ws;
+  conv2d_forward(x, layer.weight(), layer.bias(), 1, y, ws);
   expect_tensors_close(y.reshaped({1, 5, 7, 9}), expected, 1e-6, 1e-5);
 }
 
@@ -39,10 +43,10 @@ TEST(ConvOps, ForwardWithoutBias) {
   const Tensor x = random_tensor({2, 5, 5}, 3);
   const Tensor w = random_tensor({4, 2, 3, 3}, 4);
   Tensor y1, y2;
-  util::AlignedVector<float> col;
+  Conv2dWorkspace ws;
   Tensor zero_bias({4});
-  conv2d_forward(x, w, zero_bias, 1, y1, col);
-  conv2d_forward(x, w, Tensor{}, 1, y2, col);
+  conv2d_forward(x, w, zero_bias, 1, y1, ws);
+  conv2d_forward(x, w, Tensor{}, 1, y2, ws);
   expect_tensors_close(y1, y2, 0.0, 0.0);
 }
 
@@ -57,8 +61,8 @@ TEST(ConvOps, BackwardDataMatchesConv2dLayer) {
   const Tensor expected = layer.backward(dy.reshaped({1, 3, 6, 6}));
 
   Tensor dx({2, 6, 6});
-  util::AlignedVector<float> col;
-  conv2d_backward_data(dy, layer.weight(), 1, dx, col);
+  Conv2dWorkspace ws;
+  conv2d_backward_data(dy, layer.weight(), 1, dx, ws);
   expect_tensors_close(dx.reshaped({1, 2, 6, 6}), expected, 1e-5, 1e-4);
 }
 
@@ -75,8 +79,8 @@ TEST(ConvOps, BackwardWeightsMatchesConv2dLayer) {
 
   Tensor dw({3, 2, 3, 3});
   Tensor db({3});
-  util::AlignedVector<float> col;
-  conv2d_backward_weights(x, dy, 1, dw, db, col);
+  Conv2dWorkspace ws;
+  conv2d_backward_weights(x, dy, 1, dw, db, ws);
   const auto params = layer.parameters();
   expect_tensors_close(dw, *params[0].grad, 1e-5, 1e-4);
   expect_tensors_close(db, *params[1].grad, 1e-5, 1e-4);
@@ -87,10 +91,10 @@ TEST(ConvOps, BackwardWeightsAccumulates) {
   const Tensor dy = random_tensor({2, 4, 4}, 12);
   Tensor dw1({2, 1, 3, 3}), db1({2});
   Tensor dw2({2, 1, 3, 3}), db2({2});
-  util::AlignedVector<float> col;
-  conv2d_backward_weights(x, dy, 1, dw1, db1, col);
-  conv2d_backward_weights(x, dy, 1, dw2, db2, col);
-  conv2d_backward_weights(x, dy, 1, dw2, db2, col);  // dw2 = 2 * dw1 now? no:
+  Conv2dWorkspace ws;
+  conv2d_backward_weights(x, dy, 1, dw1, db1, ws);
+  conv2d_backward_weights(x, dy, 1, dw2, db2, ws);
+  conv2d_backward_weights(x, dy, 1, dw2, db2, ws);  // dw2 = 2 * dw1 now? no:
   // dw2 accumulated twice, dw1 once.
   for (std::int64_t i = 0; i < dw1.size(); ++i) {
     EXPECT_NEAR(dw2[i], 2.0f * dw1[i], 1e-5);
@@ -105,21 +109,149 @@ TEST(ConvOps, OneByOneConvIsChannelMix) {
   w.at(0, 0, 0, 0) = 1.0f;
   w.at(1, 1, 0, 0) = 1.0f;
   Tensor y;
-  util::AlignedVector<float> col;
-  conv2d_forward(x, w, Tensor{}, 0, y, col);
+  Conv2dWorkspace ws;
+  conv2d_forward(x, w, Tensor{}, 0, y, ws);
   expect_tensors_close(y, x, 1e-7, 1e-6);
 }
 
 TEST(ConvOps, RejectsBadShapes) {
   Tensor y;
-  util::AlignedVector<float> col;
+  Conv2dWorkspace ws;
   EXPECT_THROW(conv2d_forward(Tensor({2, 4, 4}), Tensor({3, 1, 3, 3}), Tensor{},
-                              1, y, col),
+                              1, y, ws),
                std::invalid_argument);
   Tensor dx({2, 4, 4});
   EXPECT_THROW(conv2d_backward_data(Tensor({5, 4, 4}), Tensor({3, 2, 3, 3}), 1,
-                                    dx, col),
+                                    dx, ws),
                std::invalid_argument);
+}
+
+// 43x43 input, 16 -> 6 channels, 5x5 kernel, pad 2: 3-row bands, the last
+// one a single row, and the first and last bands read padding rows.
+constexpr std::int64_t kBandCin = 16, kBandCout = 6, kBandSize = 43;
+constexpr std::int64_t kBandKernel = 5, kBandPad = 2, kBandBatch = 2;
+
+ConvGeometry band_geometry() {
+  const ConvGeometry g{kBandCin, kBandSize, kBandSize, kBandKernel, kBandPad};
+  const std::int64_t rows = conv_band_rows(g);
+  EXPECT_GT(g.out_height(), 2 * rows);
+  EXPECT_NE(g.out_height() % rows, 0);
+  return g;
+}
+
+TEST(ConvOps, BandedForwardIsBytewiseFullWidthGemm) {
+  const ConvGeometry g = band_geometry();
+  Conv2d layer(kBandCin, kBandCout, kBandKernel, kBandPad);
+  util::Rng rng(21);
+  layer.init(rng);
+  rng.fill_uniform(layer.bias().values(), -0.5f, 0.5f);
+  const Tensor x = random_tensor({kBandBatch, kBandCin, kBandSize, kBandSize}, 22);
+  const Tensor y = layer.forward(x);
+
+  // Reference: the whole sample lowered at once, one full-width GEMM, then
+  // the bias add.
+  const std::int64_t plane = g.col_cols();
+  std::vector<float> col(static_cast<std::size_t>(g.col_rows() * plane));
+  std::vector<float> ref(static_cast<std::size_t>(kBandCout * plane));
+  for (std::int64_t s = 0; s < kBandBatch; ++s) {
+    im2col(x.data() + s * kBandCin * kBandSize * kBandSize, g, col.data());
+    gemm(layer.weight().data(), col.data(), ref.data(), kBandCout,
+         g.col_rows(), plane);
+    for (std::int64_t c = 0; c < kBandCout; ++c) {
+      for (std::int64_t i = 0; i < plane; ++i) {
+        ref[static_cast<std::size_t>(c * plane + i)] += layer.bias()[c];
+      }
+    }
+    ASSERT_EQ(std::memcmp(y.data() + s * kBandCout * plane, ref.data(),
+                          ref.size() * sizeof(float)),
+              0)
+        << "sample " << s;
+  }
+}
+
+TEST(ConvOps, BandedBackwardMatchesNaiveReference) {
+  const ConvGeometry g = band_geometry();
+  const Tensor x = random_tensor({kBandBatch, kBandCin, kBandSize, kBandSize}, 23);
+  const Tensor w = random_tensor({kBandCout, kBandCin, kBandKernel, kBandKernel}, 24);
+  const std::int64_t plane = g.col_cols();
+  const Tensor dy = random_tensor({kBandBatch, kBandCout, g.out_height(),
+                                   g.out_width()}, 25);
+
+  Tensor dx, dw(w.shape()), db({kBandCout});
+  Conv2dWorkspace ws;
+  conv2d_backward_batched(x, dy, w, kBandPad, dx, dw, db, ws);
+
+  // Reference: naive GEMMs on whole-sample column matrices.
+  std::vector<float> col(static_cast<std::size_t>(g.col_rows() * plane));
+  std::vector<float> dcol(col.size());
+  std::vector<float> ref_dw(static_cast<std::size_t>(w.size()), 0.0f);
+  std::vector<float> ref_dx(static_cast<std::size_t>(x.size()), 0.0f);
+  std::vector<double> ref_db(kBandCout, 0.0);
+  const std::int64_t in_stride = kBandCin * kBandSize * kBandSize;
+  for (std::int64_t s = 0; s < kBandBatch; ++s) {
+    const float* dys = dy.data() + s * kBandCout * plane;
+    im2col(x.data() + s * in_stride, g, col.data());
+    gemm_naive_bt_acc(dys, col.data(), ref_dw.data(), kBandCout, plane,
+                      g.col_rows());
+    gemm_naive_at(w.data(), dys, dcol.data(), g.col_rows(), kBandCout, plane);
+    col2im(dcol.data(), g, ref_dx.data() + s * in_stride);
+    for (std::int64_t c = 0; c < kBandCout; ++c) {
+      for (std::int64_t i = 0; i < plane; ++i) ref_db[c] += dys[c * plane + i];
+    }
+  }
+  for (std::int64_t i = 0; i < dw.size(); ++i) {
+    EXPECT_NEAR(dw[i], ref_dw[static_cast<std::size_t>(i)],
+                1e-3 * (1.0 + std::abs(ref_dw[static_cast<std::size_t>(i)])))
+        << "dw " << i;
+  }
+  for (std::int64_t i = 0; i < dx.size(); ++i) {
+    EXPECT_NEAR(dx[i], ref_dx[static_cast<std::size_t>(i)],
+                1e-4 * (1.0 + std::abs(ref_dx[static_cast<std::size_t>(i)])))
+        << "dx " << i;
+  }
+  for (std::int64_t c = 0; c < kBandCout; ++c) {
+    EXPECT_NEAR(db[c], ref_db[static_cast<std::size_t>(c)],
+                1e-3 * (1.0 + std::abs(ref_db[static_cast<std::size_t>(c)])));
+  }
+}
+
+// One training step of the Table-I network leaves every conv layer with a
+// one-band workspace: the same capacity at batch 4 and batch 16, within the
+// band budget (or one output row, when a row alone exceeds it), plus
+// kConvGradGroups dW partials.
+TEST(ConvOps, WorkspaceDoesNotGrowWithBatchSize) {
+  core::TrainConfig cfg;  // Table I: 4 -> 6 -> 16 -> 6 -> 4, 5x5 kernels
+  cfg.border = core::BorderMode::kZeroPad;
+  cfg.loss = "mse";
+  constexpr std::int64_t kTile = 64;
+  auto capacities = [&](std::int64_t batch) {
+    core::NetworkTrainer trainer(cfg, 0);
+    const Tensor inputs = random_tensor({batch, 4, kTile, kTile}, 26);
+    const Tensor targets = random_tensor({batch, 4, kTile, kTile}, 27);
+    trainer.train_batch(inputs, targets);
+    std::vector<std::size_t> caps;
+    Sequential& model = trainer.model();
+    for (std::size_t i = 0; i < model.layer_count(); ++i) {
+      const auto* conv = dynamic_cast<const Conv2d*>(&model.layer(i));
+      if (conv == nullptr) continue;
+      const Conv2dWorkspace& ws = conv->workspace();
+      const ConvGeometry g{conv->in_channels(), kTile, kTile, conv->kernel(),
+                           conv->pad()};
+      const auto bound = static_cast<std::size_t>(std::max(
+          kConvBandBytes / static_cast<std::int64_t>(sizeof(float)),
+          g.col_rows() * g.out_width()));
+      EXPECT_GT(ws.col.capacity(), 0u);
+      EXPECT_LE(ws.col.capacity(), bound) << conv->name();
+      EXPECT_LE(ws.dcol.capacity(), bound) << conv->name();
+      EXPECT_EQ(ws.dw.capacity(),
+                static_cast<std::size_t>(kConvGradGroups * conv->out_channels() *
+                                         g.col_rows()));
+      caps.insert(caps.end(), {ws.col.capacity(), ws.out.capacity(),
+                               ws.dcol.capacity(), ws.dw.capacity()});
+    }
+    return caps;
+  };
+  EXPECT_EQ(capacities(4), capacities(16));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Blocked GEMM vs. the naive reference loops across the four kernel variants
 // (including sizes that are not multiples of the micro-tile or cache blocks),
 // plus the bit-determinism contract: identical results — down to identical
-// epoch losses of a full training run — at any thread-pool size.
+// epoch losses of a full training run, including one whose convs stream
+// several bands — at any thread-pool size.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "core/trainer.hpp"
+#include "nn/conv_ops.hpp"
 #include "tensor/gemm.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
@@ -114,21 +116,16 @@ TEST(GemmBlocked, BitIdenticalAcrossWorkerCounts) {
   }
 }
 
-// End-to-end determinism: a full training run (conv forward/backward, bias
-// and activation loops, ADAM updates) produces bit-identical epoch losses
-// with 1 thread and with 4 threads.
-TEST(GemmBlocked, TrainingLossesIdenticalAcrossThreadCounts) {
-  core::TrainConfig cfg;
-  cfg.network.channels = {4, 6, 4};
-  cfg.network.kernel = 3;
-  cfg.border = core::BorderMode::kZeroPad;
-  cfg.epochs = 3;
-  cfg.batch_size = 4;
-  cfg.loss = "mse";
-
+// End-to-end determinism: a full training run of `cfg` on random
+// [samples, 4, size, size] data (conv forward/backward, bias and activation
+// loops, ADAM updates) produces bit-identical epoch losses with 1 thread and
+// with 4 threads.
+void expect_losses_identical_across_thread_counts(const core::TrainConfig& cfg,
+                                                  std::int64_t samples,
+                                                  std::int64_t size) {
   core::SubdomainTask task;
-  task.inputs = Tensor({12, 4, 12, 12});
-  task.targets = Tensor({12, 4, 12, 12});
+  task.inputs = Tensor({samples, 4, size, size});
+  task.targets = Tensor({samples, 4, size, size});
   util::Rng rng(20260805);
   rng.fill_uniform(task.inputs.values(), 0.1f, 1.0f);
   rng.fill_uniform(task.targets.values(), 0.1f, 1.0f);
@@ -149,6 +146,37 @@ TEST(GemmBlocked, TrainingLossesIdenticalAcrossThreadCounts) {
   for (std::size_t e = 0; e < one_thread.size(); ++e) {
     ASSERT_EQ(one_thread[e], four_threads[e]) << "epoch " << e;
   }
+}
+
+TEST(GemmBlocked, TrainingLossesIdenticalAcrossThreadCounts) {
+  core::TrainConfig cfg;
+  cfg.network.channels = {4, 6, 4};
+  cfg.network.kernel = 3;
+  cfg.border = core::BorderMode::kZeroPad;
+  cfg.epochs = 3;
+  cfg.batch_size = 4;
+  cfg.loss = "mse";
+  expect_losses_identical_across_thread_counts(cfg, 12, 12);
+}
+
+// The same contract where every conv streams several bands with a ragged
+// last one: 43x43 "same"-padded tiles lower 15-row bands (15+15+13) in the
+// 4-channel layer and 3-row bands (14 x 3 + 1) in the 16-channel one, so
+// band edges cross padding rows and dW / dx accumulate across bands.
+TEST(GemmBlocked, TrainingLossesIdenticalAcrossThreadCountsMultiBand) {
+  core::TrainConfig cfg;
+  cfg.network.channels = {4, 16, 4};
+  cfg.network.kernel = 5;
+  cfg.border = core::BorderMode::kZeroPad;
+  cfg.epochs = 2;
+  cfg.batch_size = 4;
+  cfg.loss = "mse";
+  for (const std::int64_t cin : {4, 16}) {
+    const ConvGeometry g{cin, 43, 43, 5, 2};
+    ASSERT_GT(g.out_height(), 2 * nn::conv_band_rows(g)) << cin;
+    ASSERT_NE(g.out_height() % nn::conv_band_rows(g), 0) << cin;
+  }
+  expect_losses_identical_across_thread_counts(cfg, 8, 43);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "helpers.hpp"
@@ -182,6 +183,39 @@ TEST_P(ConvGeoms, Col2imIsAdjointOfIm2col) {
     rhs += static_cast<double>(xg[i]) * x[i];
   }
   EXPECT_NEAR(lhs, rhs, 1e-2 * (std::abs(lhs) + 1.0));
+}
+
+TEST_P(ConvGeoms, RowBandsTileTheFullLowering) {
+  // im2col_rows over 2-row bands reproduces the full matrix's columns, and
+  // col2im_rows over the same bands accumulates to the full col2im.
+  const auto [cin, size, kernel, pad] = GetParam();
+  const ConvGeometry g{cin, size, size, kernel, pad};
+  if (g.out_height() <= 0) GTEST_SKIP();
+  util::Rng rng(cin * 5 + size + kernel * 3 + pad);
+  const auto x = random_vec(cin * size * size, rng);
+  const std::int64_t ow = g.out_width(), plane = g.col_cols();
+  std::vector<float> full(static_cast<std::size_t>(g.col_rows() * plane));
+  im2col(x.data(), g, full.data());
+  std::vector<float> full_back(x.size(), 0.0f);
+  col2im(full.data(), g, full_back.data());
+
+  std::vector<float> band(full.size());
+  std::vector<float> band_back(x.size(), 0.0f);
+  for (std::int64_t y0 = 0; y0 < g.out_height(); y0 += 2) {
+    const std::int64_t y1 = std::min(g.out_height(), y0 + 2);
+    const std::int64_t n = (y1 - y0) * ow;
+    im2col_rows(x.data(), g, y0, y1, band.data());
+    for (std::int64_t r = 0; r < g.col_rows(); ++r) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        ASSERT_EQ(band[static_cast<std::size_t>(r * n + j)],
+                  full[static_cast<std::size_t>(r * plane + y0 * ow + j)]);
+      }
+    }
+    col2im_rows(band.data(), g, y0, y1, band_back.data());
+  }
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_NEAR(band_back[i], full_back[i], 1e-5) << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ConvGeoms,
