@@ -28,6 +28,7 @@ struct BenchSetup {
   std::string optimizer = "adam";
   core::BorderMode border = core::BorderMode::kHaloPad;
   double train_fraction = 2.0 / 3.0;
+  int threads = 0;  // pool threads per rank; 0 = the hardware share
   bool full_scale = false;
 };
 
@@ -51,6 +52,7 @@ inline BenchSetup parse_setup(int argc, const char* const* argv) {
   s.border = core::border_mode_from_string(
       opts.get_string("border", core::border_mode_name(s.border)));
   s.train_fraction = opts.get_double("train-fraction", s.train_fraction);
+  s.threads = opts.get_int("threads", s.threads);
   return s;
 }
 
@@ -63,6 +65,7 @@ inline core::TrainConfig make_train_config(const BenchSetup& s) {
   cfg.epochs = s.epochs;
   cfg.batch_size = s.batch_size;
   cfg.train_fraction = s.train_fraction;
+  cfg.num_threads = s.threads;
   return cfg;
 }
 
@@ -108,10 +111,11 @@ inline void print_setup(const char* bench_name, const BenchSetup& s) {
   std::printf("== %s ==\n", bench_name);
   std::printf(
       "scale: %s | grid %d | frames %d | epochs %d | loss %s | opt %s | "
-      "border %s | lr %g\n",
+      "border %s | lr %g | threads/rank %s\n",
       s.full_scale ? "FULL (paper)" : "scaled-down (PARPDE_FULL=1 for paper scale)",
       s.grid, s.frames, s.epochs, s.loss.c_str(), s.optimizer.c_str(),
-      core::border_mode_name(s.border).c_str(), s.learning_rate);
+      core::border_mode_name(s.border).c_str(), s.learning_rate,
+      s.threads > 0 ? std::to_string(s.threads).c_str() : "auto");
   std::fflush(stdout);
 }
 

@@ -50,10 +50,14 @@ class F32PlanContext final : public PlanContext {
         telemetry::counter("backend.fp32.gemm_flops");
     flops.add(static_cast<std::uint64_t>(2 * l.out_channels * g.col_rows() *
                                          batch * plane));
-    const std::size_t capacity = ws_.col.capacity() + ws_.out.capacity();
+    const std::size_t capacity =
+        ws_.col.capacity() + ws_.out.capacity() + ws_.taps.capacity();
     nn::conv2d_forward_bands(x, batch, g, l.weight, l.out_channels, l.bias,
                              l.fused, l.slope, y, ws_);
-    if (ws_.col.capacity() + ws_.out.capacity() != capacity) ++growths_;
+    if (ws_.col.capacity() + ws_.out.capacity() + ws_.taps.capacity() !=
+        capacity) {
+      ++growths_;
+    }
   }
 
  private:
@@ -100,7 +104,7 @@ void BlockedF32Backend::conv2d_forward_batched(const Tensor& x, const Tensor& w,
 }
 void BlockedF32Backend::conv2d_backward_batched(
     const Tensor& x, const Tensor& dy, const Tensor& w, std::int64_t pad,
-    Tensor& dx, Tensor& dw, Tensor& db, nn::Conv2dWorkspace& ws) const {
+    Tensor* dx, Tensor& dw, Tensor& db, nn::Conv2dWorkspace& ws) const {
   nn::conv2d_backward_batched(x, dy, w, pad, dx, dw, db, ws);
 }
 void BlockedF32Backend::conv2d_forward(const Tensor& x, const Tensor& w,

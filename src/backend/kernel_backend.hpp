@@ -81,12 +81,13 @@ class KernelBackend {
                            std::int64_t n) const = 0;
 
   // --- convolution (module-graph path, fp32 on every backend) -------------
+  // A null dx in conv2d_backward_batched skips the input gradient.
   virtual void conv2d_forward_batched(const Tensor& x, const Tensor& w,
                                       const Tensor& b, std::int64_t pad,
                                       Tensor& y, nn::Conv2dWorkspace& ws) const = 0;
   virtual void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
                                        const Tensor& w, std::int64_t pad,
-                                       Tensor& dx, Tensor& dw, Tensor& db,
+                                       Tensor* dx, Tensor& dw, Tensor& db,
                                        nn::Conv2dWorkspace& ws) const = 0;
   virtual void conv2d_forward(const Tensor& x, const Tensor& w,
                               const Tensor& b, std::int64_t pad, Tensor& y,
@@ -176,7 +177,7 @@ class BlockedF32Backend : public KernelBackend {
                               std::int64_t pad, Tensor& y,
                               nn::Conv2dWorkspace& ws) const override;
   void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
-                               const Tensor& w, std::int64_t pad, Tensor& dx,
+                               const Tensor& w, std::int64_t pad, Tensor* dx,
                                Tensor& dw, Tensor& db,
                                nn::Conv2dWorkspace& ws) const override;
   void conv2d_forward(const Tensor& x, const Tensor& w, const Tensor& b,

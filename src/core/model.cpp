@@ -44,6 +44,7 @@ std::unique_ptr<nn::Sequential> build_model(const NetworkConfig& net,
       conv.init(rng);
       model->emplace<nn::LeakyReLU>(net.leaky_slope);
     }
+    model->layer(0).set_needs_input_grad(false);
     auto& head = model->emplace<nn::ConvTranspose2d>(
         net.channels[static_cast<std::size_t>(layers) - 1],
         net.channels.back(), 2 * shrink + 1);
@@ -62,6 +63,8 @@ std::unique_ptr<nn::Sequential> build_model(const NetworkConfig& net,
       model->emplace<nn::LeakyReLU>(net.leaky_slope);
     }
   }
+  // Sequential::backward discards the first layer's input gradient.
+  model->layer(0).set_needs_input_grad(false);
   return model;
 }
 

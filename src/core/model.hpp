@@ -17,6 +17,8 @@ namespace parpde::core {
 [[nodiscard]] std::int64_t model_shrink(const NetworkConfig& net, BorderMode mode);
 
 // Constructs and initializes the network; `rng` drives the weight init.
+// The first layer has needs_input_grad() false, so the model's backward()
+// returns an empty tensor and skips the one input gradient nothing reads.
 std::unique_ptr<nn::Sequential> build_model(const NetworkConfig& net,
                                             BorderMode mode, util::Rng& rng);
 

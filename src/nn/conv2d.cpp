@@ -63,11 +63,12 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   static telemetry::Counter& calls = telemetry::counter("nn.conv2d.backward");
   calls.add(1);
   telemetry::Span span("conv2d.backward", "nn");
+  // Banded backward (nn/conv_ops.hpp); without needs_input_grad() the data
+  // gradient is skipped and the returned tensor stays empty.
   Tensor grad_in;
-  // Banded backward: per band, re-lowers the input once, then one GEMM each
-  // for dW and the data gradient.
   backend::blocked_f32().conv2d_backward_batched(
-      input_, grad_out, weight_, pad_, grad_in, weight_grad_, bias_grad_, ws_);
+      input_, grad_out, weight_, pad_, needs_input_grad() ? &grad_in : nullptr,
+      weight_grad_, bias_grad_, ws_);
   return grad_in;
 }
 

@@ -1,20 +1,43 @@
 #pragma once
 
 // Convolution primitives (stride 1, square kernel, symmetric zero padding)
-// built on im2col + GEMM: one lowering for training and inference.
+// lowered to GEMM: one lowering for training and inference.
 //
-// Every entry point streams each sample in bands of output rows: im2col one
-// band into a panel of at most kConvBandBytes (L2-resident), run the GEMM(s)
-// on it, consume it, lower the next. No column matrix exists for a whole
-// sample or batch, so each im2col -> GEMM -> col2im round trip stays in
-// cache. The band height depends on the geometry and that constant alone,
-// never on the thread count or the machine.
+// Every entry point streams each sample in bands of output rows; a band is
+// as tall as a kConvBandBytes column panel allows (L2-resident). No column
+// matrix exists for a whole sample or batch. The band height depends on the
+// geometry and that constant alone, never on the thread count or the
+// machine.
 //
-// Forward bits do not depend on the band split: the blocked GEMM's
-// per-element k-reduction order is independent of the matrix width, and the
-// epilogue is elementwise. Backward accumulates dW band by band into a fixed
-// number of sample-group partials and scatters each band into dx, in an
-// order fixed by geometry and batch size: bit-identical at any worker count.
+// Forward and dW read the input in place: the GEMM's B operand is the
+// input at one row offset per tap (gemm_rows, gemm_bt_rows_acc), so
+// neither builds an im2col panel. An unpadded conv reads the sample
+// itself; a padded one copies the band's input rows into a zero-bordered
+// buffer first. The forward's GEMM output keeps the input's row width, and
+// its epilogue drops the k-1 junk columns per row.
+//
+// Backward, per gradient:
+//  * dW += dY_band * col^T, per band, into a fixed number of sample-group
+//    partials summed in group order. col^T is read in place as one segment
+//    of ow pixels per output row and packed with 8 x 8 register transposes
+//    (tensor/gemm.cpp, pack_bt), the bytes an im2col panel would give.
+//  * dx takes one of two routes, chosen by conv_dx_as_forward() from the
+//    geometry alone. Where Cout < Cin, dx is the forward conv of dY at pad
+//    k-1-p with W rotated 180 degrees and its channel axes swapped. That
+//    GEMM has Cin rows and Cout*k*k depth, and writes dx directly. Otherwise
+//    (Cout >= Cin, or p > k-1) dx is dcol = W^T * dY_band, scattered by
+//    col2im_rows. There the forward form would run a Cin-row GEMM over the
+//    wider Cout*k*k depth; on the Table-I 6 -> 16 layer it measured slower.
+//  * A null dx skips the input gradient entirely. The network's first conv
+//    (Module::needs_input_grad() false) passes null: nothing reads its dx.
+//
+// Determinism: forward and dW bits do not depend on the band split or on
+// reading the input in place. Each output element's k-reduction runs in
+// one fixed order over the values an im2col would hold, whatever the GEMM
+// width, and the epilogue is elementwise. The forward-conv dx route
+// inherits that. dW partials and the col2im scatter run in an order fixed
+// by the geometry and batch size. Every gradient is bit-identical at any
+// worker count; the route choice changes only the summation order of dx.
 
 #include "tensor/im2col.hpp"
 #include "tensor/tensor.hpp"
@@ -26,12 +49,15 @@ namespace parpde::nn {
 // merges a conv step with the pointwise layer that follows it).
 enum class Fused { kNone, kLeakyReLU, kReLU, kTanh };
 
-// Byte budget of one band's im2col panel. Throughput is flat between 256 KiB
-// and 1 MiB panels on the Table-I shapes; the smaller end leaves room for the
-// backward-data panel beside it in a 1 MiB L2.
+// Byte budget of one band's [Cin*k*k x band] column panel; it sets the band
+// height (only the col2im dx route still builds such a panel). Throughput
+// was flat between 256 KiB and 1 MiB panels on the Table-I shapes; the
+// smaller end leaves room for the backward-data panel beside it in a 1 MiB
+// L2.
 inline constexpr std::int64_t kConvBandBytes = std::int64_t{256} << 10;
 
-// Output rows per band: as many as fit kConvBandBytes, at least one.
+// Output rows per band: as many as fit a kConvBandBytes column panel, at
+// least one.
 std::int64_t conv_band_rows(const ConvGeometry& g);
 
 // Sample groups the backward pass accumulates dW in (fewer when the batch
@@ -40,14 +66,17 @@ std::int64_t conv_band_rows(const ConvGeometry& g);
 inline constexpr std::int64_t kConvGradGroups = 4;
 
 // Persistent per-layer scratch: one band's panels per pool thread, plus the
-// backward's per-group dW partials. Buffers only grow; a layer reuses them
-// for every call, so steady state allocates nothing. All buffers are
-// 64-byte aligned so the GEMM micro-kernels get clean vector loads.
+// backward's per-group dW partials, rotated W and the forward's tap table.
+// Buffers only grow; a layer reuses them for every call, so steady state
+// allocates nothing. All buffers are 64-byte aligned so the GEMM
+// micro-kernels get clean vector loads.
 struct Conv2dWorkspace {
-  util::AlignedVector<float> col;   // [Cin*k*k x band] im2col panels
-  util::AlignedVector<float> out;   // [Cout    x band] GEMM output / gathered dY
-  util::AlignedVector<float> dcol;  // [Cin*k*k x band] backward-data panels
+  util::AlignedVector<float> col;   // a padded conv's band input rows
+  util::AlignedVector<float> out;   // [Cout x band] GEMM output / gathered dY
+  util::AlignedVector<float> dcol;  // [Cin*k*k x band] col2im-route dx panels
   util::AlignedVector<float> dw;    // [groups x Cout*Cin*k*k] dW partials
+  util::AlignedVector<float> wrot;  // [Cin x Cout*k*k] rotated W, dx as conv
+  util::AlignedVector<std::int64_t> taps;  // [Cin*k*k] input tap offsets
 };
 
 // Grows `ws` so forward bands of every input up to g's extent fit without
@@ -67,6 +96,10 @@ void conv2d_forward_bands(const float* x, std::int64_t batch,
                           std::int64_t cout, const float* bias, Fused fused,
                           float slope, float* y, Conv2dWorkspace& ws);
 
+// True when conv2d_backward_bands computes dx as a forward conv of dy
+// (Cout < Cin and pad <= k-1); false selects W^T * dY plus col2im.
+bool conv_dx_as_forward(const ConvGeometry& g, std::int64_t cout);
+
 // For x, dx [B, Cin, H, W] and dy [B, Cout, OH, OW]: dx = W^T (*) dy
 // (overwritten), dw += dy (*) x and db += sum(dy) (accumulating). A null dx,
 // dw or db skips that gradient; x is only read when dw is set.
@@ -82,10 +115,11 @@ void conv2d_backward_bands(const float* x, const float* dy, std::int64_t batch,
 void conv2d_forward_batched(const Tensor& x, const Tensor& w, const Tensor& b,
                             std::int64_t pad, Tensor& y, Conv2dWorkspace& ws);
 
-// Full backward: dx = w^T (*) dy (overwritten), dw += dy (*) x and
-// db += sum(dy) (accumulating, like the single-sample versions).
+// Full backward: dx = w^T (*) dy (overwritten, reshaped like x if needed;
+// null skips it), dw += dy (*) x and db += sum(dy) (accumulating, like the
+// single-sample versions).
 void conv2d_backward_batched(const Tensor& x, const Tensor& dy,
-                             const Tensor& w, std::int64_t pad, Tensor& dx,
+                             const Tensor& w, std::int64_t pad, Tensor* dx,
                              Tensor& dw, Tensor& db, Conv2dWorkspace& ws);
 
 // Single-sample forms for recurrent cells (ConvLSTM), whose

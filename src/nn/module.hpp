@@ -51,6 +51,16 @@ class Module {
     for (const auto& p : parameters()) n += p.value->size();
     return n;
   }
+
+  // Whether anything consumes the gradient backward() returns. The model's
+  // first layer clears it (core::build_model): a layer that honours it then
+  // skips the input-gradient computation and returns an empty tensor.
+  // Parameter gradients are unaffected, bit for bit.
+  [[nodiscard]] bool needs_input_grad() const { return needs_input_grad_; }
+  void set_needs_input_grad(bool needed) { needs_input_grad_ = needed; }
+
+ private:
+  bool needs_input_grad_ = true;
 };
 
 using ModulePtr = std::unique_ptr<Module>;

@@ -31,13 +31,27 @@ void gemm_acc(const float* a, const float* b, float* c, std::int64_t m,
 void gemm_at(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t k, std::int64_t n);
 
+// C[m x n] = A[m x k] * B, where row p of B is the n floats at
+// b + b_rows[p]. Rows may overlap: the forward conv passes the input with
+// one offset per tap (nn/conv_ops.cpp), so no column matrix is built.
+void gemm_rows(const float* a, const float* b, const std::int64_t* b_rows,
+               float* c, std::int64_t m, std::int64_t k, std::int64_t n);
+
 // C[m x n] += A[m x k] * B^T where B is stored [n x k].
 void gemm_bt_acc(const float* a, const float* b, float* c, std::int64_t m,
                  std::int64_t k, std::int64_t n);
 
-// Single-threaded reference versions of the four kernels above (the seed
-// repo's original i-k-j loops). Used by tests to validate the blocked path
-// and by bench_kernels as the speedup baseline.
+// gemm_bt_acc with stored row j of B read in place, in segments: its
+// element p is b[b_rows[j] + (p / seg) * seg_stride + p % seg]. The conv dW
+// pass reads the input's taps this way, one segment per output row.
+void gemm_bt_rows_acc(const float* a, const float* b,
+                      const std::int64_t* b_rows, std::int64_t seg,
+                      std::int64_t seg_stride, float* c, std::int64_t m,
+                      std::int64_t k, std::int64_t n);
+
+// Single-threaded reference versions of gemm, gemm_acc, gemm_at and
+// gemm_bt_acc (the seed repo's original i-k-j loops). Used by tests to
+// validate the blocked path and by bench_kernels as the speedup baseline.
 void gemm_naive(const float* a, const float* b, float* c, std::int64_t m,
                 std::int64_t k, std::int64_t n);
 void gemm_naive_acc(const float* a, const float* b, float* c, std::int64_t m,

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
+#include <string>
+#include <system_error>
+#include <vector>
 
 #include "core/inference.hpp"
 #include "core/parallel_trainer.hpp"
@@ -31,10 +36,22 @@ struct PlanGuard {
   PlanGuard& operator=(const PlanGuard&) = delete;
 };
 
+// Per-process names: concurrent test_chaos runs on one machine must not
+// remove each other's snapshots. The directories are removed at exit.
 std::string fresh_dir(const std::string& stem) {
-  const auto dir = std::filesystem::path(::testing::TempDir()) / stem;
+  struct Cleanup {
+    std::vector<std::filesystem::path> dirs;
+    ~Cleanup() {
+      std::error_code ec;
+      for (const auto& d : dirs) std::filesystem::remove_all(d, ec);
+    }
+  };
+  static Cleanup cleanup;
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   (stem + "_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
+  cleanup.dirs.push_back(dir);
   return dir.string();
 }
 

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "core/trainer.hpp"
@@ -93,6 +95,34 @@ TEST(GemmBlocked, TransposedBAccumulateMatchesNaive) {
     gemm_bt_acc(a.data(), b.data(), got.data(), d.m, d.k, d.n);
     gemm_naive_bt_acc(a.data(), b.data(), want.data(), d.m, d.k, d.n);
     expect_close(got, want, d.k);
+  }
+}
+
+// gemm_bt_acc packs its transposed B with 8 x 8 register transposes; that
+// is pure data movement, so it must match gemm_acc on the explicitly
+// transposed B byte for byte. Beyond kDims: k not a multiple of 8 (the
+// element-wise kc tail) and ragged n < 8 (an 8-column half with zero rows).
+TEST(GemmBlocked, TransposedBAccumulateIsBytewiseGemmAcc) {
+  std::vector<Dims> dims(std::begin(kDims), std::end(kDims));
+  dims.insert(dims.end(), {{4, 13, 5}, {6, 100, 3}, {16, 150, 7},
+                           {6, 8, 9}, {5, 77, 150}});
+  for (const auto& d : dims) {
+    const auto a = random_vec(d.m * d.k, 67 + d.m);
+    const auto bt = random_vec(d.n * d.k, 71 + d.n);  // stored [n x k]
+    std::vector<float> b(bt.size());                  // the same, [k x n]
+    for (std::int64_t j = 0; j < d.n; ++j) {
+      for (std::int64_t p = 0; p < d.k; ++p) {
+        b[static_cast<std::size_t>(p * d.n + j)] =
+            bt[static_cast<std::size_t>(j * d.k + p)];
+      }
+    }
+    auto got = random_vec(d.m * d.n, 73 + d.k);
+    auto want = got;
+    gemm_bt_acc(a.data(), bt.data(), got.data(), d.m, d.k, d.n);
+    gemm_acc(a.data(), b.data(), want.data(), d.m, d.k, d.n);
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0)
+        << "m=" << d.m << " k=" << d.k << " n=" << d.n;
   }
 }
 

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "core/model.hpp"
 #include "core/model_parallel_trainer.hpp"
+#include "nn/conv2d.hpp"
 #include "euler/simulate.hpp"
 #include "helpers.hpp"
 
@@ -99,6 +103,33 @@ TEST(ModelParallel, TableINetworkSplitsAcrossFourRanks) {
   const auto report = trainer.train(ds);
   EXPECT_TRUE(std::isfinite(report.final_loss()));
   EXPECT_GT(report.comm_bytes, 0u);
+}
+
+// Each rank's layer slice hands its input gradient to the allreduce that
+// forms the previous layer's dY, so those slices keep computing dx. Only
+// build_model's first layer, whose dx nothing reads, drops it.
+TEST(ModelParallel, StageBoundaryLayersStillReturnInputGradient) {
+  const TrainConfig cfg = tiny_config();
+  util::Rng rng(3);
+  const auto model = build_model(cfg.network, cfg.border, rng);
+  EXPECT_FALSE(model->layer(0).needs_input_grad());
+  for (std::size_t i = 1; i < model->layer_count(); ++i) {
+    EXPECT_TRUE(model->layer(i).needs_input_grad()) << "layer " << i;
+  }
+
+  // Rank 1's half of the 6 -> 4 layer, built as the trainer builds it.
+  nn::Conv2d slice(6, 2, cfg.network.kernel, /*pad=*/-1);
+  slice.init(rng);
+  ASSERT_TRUE(slice.needs_input_grad());
+  Tensor x({2, 6, 8, 8});
+  rng.fill_uniform(x.values(), -1.0f, 1.0f);
+  Tensor dy(slice.forward(x).shape());
+  rng.fill_uniform(dy.values(), -1.0f, 1.0f);
+  const Tensor dx = slice.backward(dy);
+  ASSERT_TRUE(dx.same_shape(x));
+  double norm = 0.0;
+  for (std::int64_t i = 0; i < dx.size(); ++i) norm += std::abs(dx[i]);
+  EXPECT_GT(norm, 0.0);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "helpers.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv2d.hpp"
@@ -11,6 +14,7 @@
 #include "nn/loss.hpp"
 #include "nn/sequential.hpp"
 #include "util/random.hpp"
+#include "util/thread_pool.hpp"
 
 namespace parpde::nn {
 namespace {
@@ -76,6 +80,20 @@ TEST(GradCheck, Conv2dAsymmetricPad) {
   Conv2d conv(1, 1, 5, 1);
   conv.init(rng);
   check_module_gradients(conv, random_tensor({1, 1, 7, 7}, rng), rng);
+}
+
+// A batch of 4 spreads the backward's sample groups over pool threads; both
+// dx routes (Cout < Cin: forward conv of dY; Cout > Cin: col2im).
+TEST(GradCheck, Conv2dBatchOnPoolThreads) {
+  util::ThreadPool::configure_global(3);
+  util::Rng rng(19);
+  for (const auto& [cin, cout] : {std::pair{4, 2}, std::pair{2, 4}}) {
+    SCOPED_TRACE(std::to_string(cin) + " -> " + std::to_string(cout));
+    Conv2d conv(cin, cout, 3, 1);
+    conv.init(rng);
+    check_module_gradients(conv, random_tensor({4, cin, 5, 5}, rng), rng);
+  }
+  util::ThreadPool::configure_global(0);
 }
 
 TEST(GradCheck, ConvTranspose2d) {

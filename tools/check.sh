@@ -7,7 +7,8 @@
 #   * tsan:  ThreadSanitizer over the mini-MPI runtime and the intra-rank
 #            thread pool — the tests that exercise cross-thread mailboxes,
 #            collectives, concurrent rank training, the blocked GEMM's
-#            parallel_for fan-out, the overlapped rollout engine's
+#            parallel_for fan-out, the conv backward's sample groups on pool
+#            threads (conv ops + gradchecks), the overlapped rollout engine's
 #            begin/finish halo split (bit-identity under races), the
 #            cross-rank trace collector's concurrent event buffers, the
 #            int8 quantized rollout path, and the SurrogateServer's
@@ -41,9 +42,10 @@ cmake -S "$root" -B "$build_root/tsan" \
 cmake --build "$build_root/tsan" -j "$jobs" --target \
   test_minimpi_p2p test_minimpi_collectives test_minimpi_collectives2 \
   test_minimpi_cart test_gemm_blocked test_core_parallel test_fault \
-  test_rollout_overlap test_trace test_quant_rollout test_serve >/dev/null
+  test_rollout_overlap test_trace test_quant_rollout test_serve \
+  test_conv_ops test_nn_gradcheck >/dev/null
 (cd "$build_root/tsan" && ctest --output-on-failure -R \
-  'test_minimpi_p2p|test_minimpi_collectives|test_minimpi_collectives2|test_minimpi_cart|test_gemm_blocked|test_core_parallel|test_fault|test_rollout_overlap|test_trace|test_quant_rollout|test_serve')
+  'test_minimpi_p2p|test_minimpi_collectives|test_minimpi_collectives2|test_minimpi_cart|test_gemm_blocked|test_core_parallel|test_fault|test_rollout_overlap|test_trace|test_quant_rollout|test_serve|test_conv_ops|test_nn_gradcheck')
 
 echo "== Address/UB sanitizer + checked tensor accessors: full test suite =="
 cmake -S "$root" -B "$build_root/asan" \

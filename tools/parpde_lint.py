@@ -382,7 +382,9 @@ BACKEND_EXEMPT_PREFIXES = (
 # interface invocations the rule wants call sites to use.
 _BACKEND_KERNEL_CALL = re.compile(
     r"(?<![\w.>])"
-    r"(gemm|gemm_acc|gemm_at|gemm_bt_acc|conv2d_forward|conv2d_forward_batched"
+    r"(gemm|gemm_acc|gemm_at|gemm_bt_acc|gemm_bt_rows_acc|gemm_rows"
+    r"|conv2d_forward"
+    r"|conv2d_forward_batched"
     r"|conv2d_backward_data|conv2d_backward_weights|conv2d_backward_batched"
     r"|conv2d_forward_bands|conv2d_backward_bands)"
     r"\s*\("
