@@ -1,28 +1,29 @@
-// Rollout engine microbenchmark (ISSUE 5): per-step latency of the overlapped
-// halo/compute pipeline against the serialized reference loop on the Table-I
-// network, for 2x2 and 4x4 partitions. Reports p50/p99 step latency, the
-// overlap efficiency (halo time hidden by interior compute / serialized halo
-// time), the steady-state allocation count, and the per-step speedup. Emits a
-// single JSON object on stdout and writes it to BENCH_rollout.json (progress
-// lines go to stderr so stdout stays machine-parseable).
+// Rollout microbenchmark: per-step latency of parallel_rollout on the Table-I
+// network for three placements — a 2x2 partition on 4 ranks, a 4x4 partition
+// on 16 ranks, and the 4x4 partition hosted on 4 ranks (4 tasks per rank).
+// Reports p50/p99/mean step latency, halo and compute seconds, halo bytes and
+// the steady-state allocation count per placement, plus the health-monitor
+// overhead. Emits a single JSON object on stdout and writes it to
+// BENCH_rollout.json (progress lines go to stderr so stdout stays
+// machine-parseable).
 //
 //   bench_rollout_latency [--grid G] [--steps N] [--warmup N] [--threads N]
 //                         [--record-every K] [--backend fp32|int8]
 //                         [--out FILE] [--quant-out FILE] [--full]
 //
 // Defaults are laptop-scale (grid 128); --full / PARPDE_FULL=1 selects the
-// paper's 256 x 256 grid. The engine comparison target is >= 1.3x per-step
-// throughput on the 4-rank 256 x 256 halo-pad rollout; --backend selects the
-// execution provider it runs on (entries are tagged, so fp32 and int8
-// BENCH_rollout.json archives can sit side by side). A second section races
-// the int8 backend against fp32 on the 4-rank overlapped rollout and writes
-// BENCH_quant.json (per-step speedup — target >= 2x — plus the worst
-// relative L2 divergence against the quantization error budget).
+// paper's 256 x 256 grid. --backend selects the execution provider it runs on
+// (entries are tagged, so fp32 and int8 BENCH_rollout.json archives can sit
+// side by side). A second section races the int8 backend against fp32 on the
+// 4-rank rollout and writes BENCH_quant.json (per-step speedup — target
+// >= 2x — plus the worst relative L2 divergence against the quantization
+// error budget).
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backend/kernel_backend.hpp"
@@ -40,19 +41,18 @@ using parpde::Tensor;
 using parpde::bench::percentile;
 namespace core = parpde::core;
 
-struct EngineStats {
+struct StepStats {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double mean_ms = 0.0;
   double comm_seconds = 0.0;
   double compute_seconds = 0.0;
-  double overlap_seconds = 0.0;
   std::uint64_t halo_bytes = 0;
   std::uint64_t steady_state_allocs = 0;
 };
 
-EngineStats summarize(const core::RolloutResult& r, int warmup) {
-  EngineStats s;
+StepStats summarize(const core::RolloutResult& r, int warmup) {
+  StepStats s;
   std::vector<double> steady;
   for (std::size_t i = static_cast<std::size_t>(warmup); i < r.step_seconds.size();
        ++i) {
@@ -65,22 +65,39 @@ EngineStats summarize(const core::RolloutResult& r, int warmup) {
   s.mean_ms = steady.empty() ? 0.0 : sum / static_cast<double>(steady.size()) * 1e3;
   s.comm_seconds = r.comm_seconds;
   s.compute_seconds = r.compute_seconds;
-  s.overlap_seconds = r.overlap_seconds;
   s.halo_bytes = r.halo_bytes;
   s.steady_state_allocs = r.steady_state_allocs;
   return s;
 }
 
-void print_engine_json(std::FILE* f, const char* name, const EngineStats& s) {
+// The stats fields of one JSON object, without braces.
+void print_stats_json(std::FILE* f, const StepStats& s) {
   std::fprintf(f,
-               "    \"%s\": {\"p50_ms\": %.4f, \"p99_ms\": %.4f, "
-               "\"mean_ms\": %.4f, \"comm_seconds\": %.4f, "
-               "\"compute_seconds\": %.4f, \"overlap_seconds\": %.4f, "
-               "\"halo_bytes\": %llu, \"steady_state_allocs\": %llu}",
-               name, s.p50_ms, s.p99_ms, s.mean_ms, s.comm_seconds,
-               s.compute_seconds, s.overlap_seconds,
+               "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"mean_ms\": %.4f, "
+               "\"comm_seconds\": %.4f, \"compute_seconds\": %.4f, "
+               "\"halo_bytes\": %llu, \"steady_state_allocs\": %llu",
+               s.p50_ms, s.p99_ms, s.mean_ms, s.comm_seconds,
+               s.compute_seconds,
                static_cast<unsigned long long>(s.halo_bytes),
                static_cast<unsigned long long>(s.steady_state_allocs));
+}
+
+// A report of `tasks` subdomains sharing one set of weights.
+core::ParallelTrainReport shared_report(int tasks, int grid,
+                                        const std::vector<Tensor>& params) {
+  core::ParallelTrainReport report;
+  report.ranks = tasks;
+  report.dims = parpde::mpi::dims_create(tasks);
+  const parpde::domain::Partition part(grid, grid, report.dims.px,
+                                       report.dims.py);
+  report.rank_outcomes.resize(static_cast<std::size_t>(tasks));
+  for (int t = 0; t < tasks; ++t) {
+    auto& outcome = report.rank_outcomes[static_cast<std::size_t>(t)];
+    outcome.rank = t;
+    outcome.block = part.block_of_rank(t);
+    outcome.parameters = params;
+  }
+  return report;
 }
 
 // Relative L2 distance between two recorded frames.
@@ -122,7 +139,8 @@ int main(int argc, char** argv) {
   cfg.border = core::BorderMode::kHaloPad;
 
   // Shared random weights on every rank: the bench measures latency, not
-  // accuracy, and identical weights keep both engines numerically comparable.
+  // accuracy, and identical weights keep every placement numerically
+  // comparable.
   // Damped weights + bounded biases keep the autoregressive rollout on a
   // finite attractor (raw random weights explode within a few steps), so the
   // int8-vs-fp32 divergence number below reflects quantization error rather
@@ -151,100 +169,50 @@ int main(int argc, char** argv) {
                static_cast<long long>(cfg.network.receptive_halo()));
 
   struct Row {
-    int px, py;
-    EngineStats serialized, overlapped;
-    double speedup = 0.0;
-    double overlap_efficiency = 0.0;
+    int tasks = 0;
+    int tasks_per_rank = 1;
+    StepStats stats;
   };
   std::vector<Row> rows;
-
-  for (const int side : {2, 4}) {
-    const int ranks = side * side;
-    core::ParallelTrainReport report;
-    report.ranks = ranks;
-    report.dims = parpde::mpi::dims_create(ranks);
-    const parpde::domain::Partition part(grid, grid, report.dims.px,
-                                         report.dims.py);
-    report.rank_outcomes.resize(static_cast<std::size_t>(ranks));
-    for (int r = 0; r < ranks; ++r) {
-      auto& outcome = report.rank_outcomes[static_cast<std::size_t>(r)];
-      outcome.rank = r;
-      outcome.block = part.block_of_rank(r);
-      outcome.parameters = params;
-    }
-
+  const int total_steps = steps + warmup;
+  for (const auto [tasks, tasks_per_rank] :
+       {std::pair{4, 1}, std::pair{16, 1}, std::pair{16, 4}}) {
     Row row;
-    row.px = report.dims.px;
-    row.py = report.dims.py;
-    const int total_steps = steps + warmup;
-
-    core::RolloutOptions serialized;
-    serialized.engine = core::RolloutEngine::kSerialized;
-    serialized.record_every = record_every;
-    serialized.backend = bk;
-    std::fprintf(stderr, "%dx%d serialized...\n", row.px, row.py);
-    row.serialized = summarize(
-        core::parallel_rollout(cfg, report, initial, total_steps, serialized),
+    row.tasks = tasks;
+    row.tasks_per_rank = tasks_per_rank;
+    core::RolloutOptions ropts;
+    ropts.record_every = record_every;
+    ropts.backend = bk;
+    ropts.elastic.tasks_per_rank = tasks_per_rank;
+    std::fprintf(stderr, "%d tasks on %d ranks...\n", tasks,
+                 tasks / tasks_per_rank);
+    row.stats = summarize(
+        core::parallel_rollout(cfg, shared_report(tasks, grid, params), initial,
+                               total_steps, ropts),
         warmup);
-
-    core::RolloutOptions overlapped;
-    overlapped.engine = core::RolloutEngine::kOverlapped;
-    overlapped.record_every = record_every;
-    overlapped.backend = bk;
-    std::fprintf(stderr, "%dx%d overlapped...\n", row.px, row.py);
-    row.overlapped = summarize(
-        core::parallel_rollout(cfg, report, initial, total_steps, overlapped),
-        warmup);
-
-    row.speedup = row.overlapped.mean_ms > 0.0
-                      ? row.serialized.mean_ms / row.overlapped.mean_ms
-                      : 0.0;
-    // Fraction of the serialized engine's halo time that the overlapped
-    // engine removed from the critical path.
-    row.overlap_efficiency =
-        row.serialized.comm_seconds > 0.0
-            ? std::max(0.0, row.serialized.comm_seconds -
-                                row.overlapped.comm_seconds) /
-                  row.serialized.comm_seconds
-            : 0.0;
     std::fprintf(stderr,
-                 "%dx%d: serialized p50 %.3f ms | overlapped p50 %.3f ms | "
-                 "speedup %.2fx | overlap efficiency %.0f%% | steady allocs "
-                 "%llu\n",
-                 row.px, row.py, row.serialized.p50_ms, row.overlapped.p50_ms,
-                 row.speedup, row.overlap_efficiency * 100.0,
-                 static_cast<unsigned long long>(
-                     row.overlapped.steady_state_allocs));
+                 "%d tasks on %d ranks: p50 %.3f ms | p99 %.3f ms | steady "
+                 "allocs %llu\n",
+                 tasks, tasks / tasks_per_rank, row.stats.p50_ms,
+                 row.stats.p99_ms,
+                 static_cast<unsigned long long>(row.stats.steady_state_allocs));
     rows.push_back(row);
   }
 
   // --- health-monitor overhead: the always-on monitor must cost < 2% per
-  // step. Same 2x2 overlapped rollout with the monitor off, then on; the
+  // step. Same 2x2 rollout with the monitor off, then on; the
   // difference in mean step time is the per-step NaN/Inf scan plus the
   // per-strip interface-residual probes (docs/observability.md).
   double health_overhead_pct = 0.0;
   {
-    core::ParallelTrainReport report;
-    report.ranks = 4;
-    report.dims = parpde::mpi::dims_create(4);
-    const parpde::domain::Partition part(grid, grid, report.dims.px,
-                                         report.dims.py);
-    report.rank_outcomes.resize(4);
-    for (int r = 0; r < 4; ++r) {
-      auto& outcome = report.rank_outcomes[static_cast<std::size_t>(r)];
-      outcome.rank = r;
-      outcome.block = part.block_of_rank(r);
-      outcome.parameters = params;
-    }
-    const int total_steps = steps + warmup;
+    const auto report = shared_report(4, grid, params);
     double mean_ms[2] = {0.0, 0.0};
     for (int i = 0; i < 2; ++i) {
       core::RolloutOptions ropts;
-      ropts.engine = core::RolloutEngine::kOverlapped;
       ropts.record_every = record_every;
       ropts.backend = bk;
       ropts.monitor_health = i == 1;
-      std::fprintf(stderr, "2x2 overlapped, health monitor %s...\n",
+      std::fprintf(stderr, "2x2, health monitor %s...\n",
                    i == 1 ? "on" : "off");
       mean_ms[i] =
           summarize(core::parallel_rollout(cfg, report, initial, total_steps,
@@ -278,16 +246,14 @@ int main(int argc, char** argv) {
                  health_overhead_pct);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& row = rows[i];
+      const auto dims = parpde::mpi::dims_create(row.tasks);
       std::fprintf(f,
-                   "  {\"px\": %d, \"py\": %d, \"ranks\": %d,\n",
-                   row.px, row.py, row.px * row.py);
-      print_engine_json(f, "serialized", row.serialized);
-      std::fprintf(f, ",\n");
-      print_engine_json(f, "overlapped", row.overlapped);
-      std::fprintf(f,
-                   ",\n    \"speedup\": %.4f, \"overlap_efficiency\": %.4f}%s\n",
-                   row.speedup, row.overlap_efficiency,
-                   i + 1 < rows.size() ? "," : "");
+                   "  {\"px\": %d, \"py\": %d, \"tasks\": %d, "
+                   "\"ranks\": %d, \"tasks_per_rank\": %d,\n    ",
+                   dims.px, dims.py, row.tasks, row.tasks / row.tasks_per_rank,
+                   row.tasks_per_rank);
+      print_stats_json(f, row.stats);
+      std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
   };
@@ -303,36 +269,23 @@ int main(int argc, char** argv) {
   }
 
   // --- int8 vs fp32 backend race: the quantization acceptance numbers. -------
-  // Same 4-rank overlapped halo-pad rollout through both execution providers;
+  // Same 4-rank halo-pad rollout through both execution providers;
   // reports the per-step speedup (target >= 2x) and the worst relative L2
   // between the recorded frames against the int8 error budget (the bound
   // tests/test_quant_rollout.cpp enforces; see docs/performance.md).
   {
     constexpr double kQuantErrorBudget = 5e-2;
-    core::ParallelTrainReport report;
-    report.ranks = 4;
-    report.dims = parpde::mpi::dims_create(4);
-    const parpde::domain::Partition part(grid, grid, report.dims.px,
-                                         report.dims.py);
-    report.rank_outcomes.resize(4);
-    for (int r = 0; r < 4; ++r) {
-      auto& outcome = report.rank_outcomes[static_cast<std::size_t>(r)];
-      outcome.rank = r;
-      outcome.block = part.block_of_rank(r);
-      outcome.parameters = params;
-    }
-    const int total_steps = steps + warmup;
+    const auto report = shared_report(4, grid, params);
     const int quant_record = std::max(1, steps / 4);
 
-    EngineStats stats[2];
+    StepStats stats[2];
     std::vector<Tensor> frames[2];
     const char* names[2] = {"fp32", "int8"};
     for (int i = 0; i < 2; ++i) {
       core::RolloutOptions ropts;
-      ropts.engine = core::RolloutEngine::kOverlapped;
       ropts.record_every = quant_record;
       ropts.backend = parpde::backend::by_name(names[i]);
-      std::fprintf(stderr, "2x2 overlapped, %s backend...\n", names[i]);
+      std::fprintf(stderr, "2x2, %s backend...\n", names[i]);
       auto result =
           core::parallel_rollout(cfg, report, initial, total_steps, ropts);
       stats[i] = summarize(result, warmup);
@@ -360,13 +313,13 @@ int main(int argc, char** argv) {
                    "  \"warmup\": %d,\n"
                    "  \"threads\": %d,\n"
                    "  \"ranks\": 4,\n"
-                   "  \"engine\": \"overlapped\",\n"
+                   "  \"engine\": \"static\",\n"
                    "  \"network\": \"table1\",\n",
                    grid, steps, warmup, threads);
       for (int i = 0; i < 2; ++i) {
-        std::fprintf(f, "  ");
-        print_engine_json(f, names[i], stats[i]);
-        std::fprintf(f, ",\n");
+        std::fprintf(f, "  \"%s\": {", names[i]);
+        print_stats_json(f, stats[i]);
+        std::fprintf(f, "},\n");
       }
       std::fprintf(f,
                    "  \"speedup\": %.4f,\n"

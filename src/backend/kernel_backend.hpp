@@ -22,7 +22,7 @@
 // im2col workspaces), so nn::ForwardPlan keeps its zero-allocation
 // steady-state contract under any backend. Integer accumulation is exact and
 // the fp32 epilogue is elementwise, so each backend is bit-deterministic at
-// any thread count and across the serialized/overlapped rollout engines.
+// any thread count and any placement of the rollout's subdomain tasks.
 
 #include <cstdint>
 #include <memory>

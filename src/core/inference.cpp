@@ -1,19 +1,26 @@
 #include "core/inference.hpp"
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <cstring>
-#include <deque>
+#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "backend/kernel_backend.hpp"
 #include "domain/exchange.hpp"
 #include "domain/halo.hpp"
-#include "elastic/rollout.hpp"
-#include "minimpi/collectives.hpp"
+#include "elastic/assignment.hpp"
+#include "elastic/state_checkpoint.hpp"
 #include "minimpi/environment.hpp"
+#include "minimpi/fault.hpp"
+#include "minimpi/tags.hpp"
 #include "nn/forward_plan.hpp"
 #include "tensor/ops.hpp"
+#include "util/log.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -37,30 +44,9 @@ void insert_window(Tensor& dst, std::int64_t y0, std::int64_t x0,
   }
 }
 
-// Copies the (y0, x0) window of extent [rows, cols] out of a [c, h, w]
-// tensor into a dense staging tensor (resized on first use, reused after).
-void extract_window(const Tensor& src, std::int64_t y0, std::int64_t rows,
-                    std::int64_t x0, std::int64_t cols, Tensor& out,
-                    std::uint64_t* growths) {
-  const auto c = src.dim(0), h = src.dim(1), w = src.dim(2);
-  if (out.ndim() != 3 || out.dim(0) != c || out.dim(1) != rows ||
-      out.dim(2) != cols) {
-    out = Tensor({c, rows, cols});
-    if (growths != nullptr) ++*growths;
-  }
-  float* d = out.data();
-  for (std::int64_t ic = 0; ic < c; ++ic) {
-    for (std::int64_t y = 0; y < rows; ++y) {
-      const float* s = src.data() + (ic * h + y0 + y) * w + x0;
-      std::copy(s, s + cols, d);
-      d += cols;
-    }
-  }
-}
-
 // Health monitor: counts NaN/Inf floats via the exponent bits (all-ones
 // exponent = non-finite). Branch-free, no library calls, no allocation —
-// cheap enough to scan every rank's step output unconditionally.
+// cheap enough to scan every task's step output unconditionally.
 std::uint64_t count_nonfinite(const float* x, std::int64_t n) {
   std::uint64_t bad = 0;
   for (std::int64_t i = 0; i < n; ++i) {
@@ -72,7 +58,8 @@ std::uint64_t count_nonfinite(const float* x, std::int64_t n) {
 }
 
 // Module-graph forward on a [C, bh, bw] tile (the plan-incompatible
-// fallback): reshapes in place around Sequential::forward, no input copy.
+// fallback, deconv mode): reshapes in place around Sequential::forward, no
+// input copy.
 Tensor module_forward(nn::Sequential& model, Tensor& input) {
   input.reshape({1, input.dim(0), input.dim(1), input.dim(2)});
   Tensor out = model.forward(input);
@@ -81,18 +68,28 @@ Tensor module_forward(nn::Sequential& model, Tensor& input) {
   return out;
 }
 
-// Per-rank state of the deferred (double-buffered) frame recording: rank 0
-// stages a copy of its own interior when a recorded step is produced and
-// collects the non-root blocks one recorded step later, so the strip sends
-// overlap the next step's compute.
-struct DeferredGather {
-  struct Round {
-    std::size_t frame_index = 0;
-    int stage_slot = 0;
-  };
-  std::deque<Round> pending;
-  Tensor stages[2];
-  int next_slot = 0;
+// One subdomain task: its model and pre-sized plan, its field, and its halo
+// exchange. Every rank keeps a slot per task; slots of tasks the rank does
+// not host (yet — adoption activates them) only carry geometry.
+struct TaskState {
+  int id = -1;
+  domain::BlockRange block{};
+  bool use_plan = false;
+  std::unique_ptr<nn::Sequential> model;
+  std::unique_ptr<nn::ForwardPlan> plan;
+  Tensor interior;  // [c, bh, bw], the task's current field
+  Tensor next;      // assembled step output
+  Tensor padded;    // [c, bh + 2 halo, bw + 2 halo] forward input
+  domain::BorderHealth health;
+  std::optional<domain::HaloExchange> exchange;
+};
+
+// Thrown out of the heartbeat barrier when a peer's lease budget is
+// exhausted; carries every peer that expired at that moment so simultaneous
+// deaths rebalance as one batch on every survivor.
+struct DeathNotice {
+  std::vector<int> failed;
+  double waited_seconds = 0.0;
 };
 
 }  // namespace
@@ -110,12 +107,6 @@ RolloutResult parallel_rollout(const TrainConfig& config,
                                const ParallelTrainReport& trained,
                                const Tensor& initial, int steps,
                                const RolloutOptions& options) {
-  if (options.elastic.enabled) {
-    // Elastic runtime: tasks decoupled from ranks, lease-based failure
-    // detection, live adoption of orphaned subdomains. The default engines
-    // below are untouched when the flag is off.
-    return elastic::elastic_rollout(config, trained, initial, steps, options);
-  }
   if (config.border == BorderMode::kValidInner) {
     throw std::invalid_argument(
         "parallel_rollout: valid-inner mode cannot roll out (output loses the "
@@ -126,13 +117,37 @@ RolloutResult parallel_rollout(const TrainConfig& config,
   }
   if (steps <= 0) throw std::invalid_argument("parallel_rollout: steps must be > 0");
 
-  const int ranks = trained.ranks;
-  const domain::Partition partition(initial.dim(1), initial.dim(2),
-                                    trained.dims.px, trained.dims.py);
+  const ElasticOptions& el = options.elastic;
+  const int tasks = trained.ranks;
+  if (el.tasks_per_rank < 1 || tasks % el.tasks_per_rank != 0) {
+    throw std::invalid_argument(
+        "parallel_rollout: tasks_per_rank must divide the trained report's "
+        "rank count (" +
+        std::to_string(tasks) + ")");
+  }
+  if (tasks > mpi::tags::kMaxTasks) {
+    throw std::invalid_argument("parallel_rollout: more tasks than the halo "
+                                "tag range can address");
+  }
+  const int nranks = tasks / el.tasks_per_rank;
+  const int px = trained.dims.px;
+  const int py = trained.dims.py;
+  if (px * py != tasks) {
+    throw std::invalid_argument("parallel_rollout: trained dims do not tile "
+                                "the task count");
+  }
+  const std::chrono::milliseconds lease =
+      std::max(el.lease, std::chrono::milliseconds(1));
+  const std::int64_t lease_budget_ms =
+      lease.count() * static_cast<std::int64_t>(std::max(el.missed_leases, 1));
+  const bool snapshots =
+      el.enabled && el.state_every > 0 && !el.state_dir.empty();
+
+  const domain::Partition partition(initial.dim(1), initial.dim(2), px, py);
   const std::int64_t halo = config.border == BorderMode::kHaloPad
                                 ? config.network.receptive_halo()
                                 : 0;
-  const bool overlapped = options.engine == RolloutEngine::kOverlapped;
+  const std::int64_t chans = initial.dim(0);
   const backend::KernelBackend* bk =
       options.backend != nullptr ? options.backend : &backend::blocked_f32();
   // Anything but the reference backend must run through the plan — the
@@ -154,17 +169,28 @@ RolloutResult parallel_rollout(const TrainConfig& config,
   result.recorded_steps = recorded_steps;
   result.frames.resize(recorded_steps.size());
   result.step_seconds.resize(static_cast<std::size_t>(steps), 0.0);
-  std::vector<double> comm_seconds(static_cast<std::size_t>(ranks), 0.0);
-  std::vector<double> compute_seconds(static_cast<std::size_t>(ranks), 0.0);
-  std::vector<double> overlap_seconds(static_cast<std::size_t>(ranks), 0.0);
-  std::vector<std::uint64_t> steady_allocs(static_cast<std::size_t>(ranks), 0);
-  std::vector<std::uint64_t> halo_bytes(static_cast<std::size_t>(ranks), 0);
-  std::vector<std::uint64_t> halo_bytes_recv(static_cast<std::size_t>(ranks), 0);
-  std::vector<std::uint64_t> total_sent(static_cast<std::size_t>(ranks), 0);
-  std::vector<std::uint64_t> total_recv(static_cast<std::size_t>(ranks), 0);
-  std::vector<domain::BorderHealth> health(static_cast<std::size_t>(ranks));
-  std::vector<std::uint64_t> nonfinite(static_cast<std::size_t>(ranks), 0);
-  std::vector<int> first_bad_step(static_cast<std::size_t>(ranks), -1);
+
+  const auto np = static_cast<std::size_t>(nranks);
+  std::vector<double> comm_seconds(np, 0.0);
+  std::vector<double> compute_seconds(np, 0.0);
+  std::vector<std::uint64_t> steady_allocs(np, 0);
+  std::vector<std::uint64_t> halo_bytes(np, 0);
+  std::vector<std::uint64_t> halo_bytes_recv(np, 0);
+  std::vector<std::uint64_t> total_sent(np, 0);
+  std::vector<std::uint64_t> total_recv(np, 0);
+  std::vector<std::uint64_t> nonfinite(np, 0);
+  std::vector<int> first_bad_step(np, -1);
+  std::vector<double> max_residual(np, 0.0);
+  std::vector<int> recoveries_of(np, 0);
+  std::vector<int> adopted_of(np, 0);
+  std::vector<int> detect_step_of(np, -1);
+  std::vector<double> detect_seconds_of(np, 0.0);
+  std::vector<double> rebalance_seconds_of(np, 0.0);
+  std::vector<int> epoch_of(np, 0);
+  std::vector<int> blip_of(np, 0);
+  // Final per-task border state, written by each task's last owner.
+  std::vector<int> task_degraded(static_cast<std::size_t>(tasks), 0);
+  std::vector<std::string> task_border(static_cast<std::size_t>(tasks));
 
   // The health monitor forwards the residual-probe switch into the halo
   // exchange and takes the int8 saturation count as a counter delta around
@@ -177,302 +203,543 @@ RolloutResult parallel_rollout(const TrainConfig& config,
       telemetry::counter("health.nonfinite_values");
   const std::uint64_t saturated_before = saturated.value();
 
-  mpi::Environment env(ranks);
-  env.run([&](mpi::Communicator& comm) {
+  const auto body = [&](mpi::Communicator& comm) {
     const int rank = comm.rank();
+    const auto ri = static_cast<std::size_t>(rank);
     mpi::PhaseScope phase(comm, "rollout");
-    mpi::CartComm cart(comm, trained.dims.px, trained.dims.py);
 
-    // Rebuild this rank's trained network.
-    util::Rng rng(config.seed);
-    auto model = build_model(config.network, config.border, rng);
-    import_parameters(
-        *model, trained.rank_outcomes[static_cast<std::size_t>(rank)].parameters);
-
-    const domain::BlockRange block = partition.block(cart.cx(), cart.cy());
-    const std::int64_t bh = block.height();
-    const std::int64_t bw = block.width();
-    Tensor interior = domain::extract_interior(initial, block);
-    const std::int64_t c = interior.dim(0);
-
-    // Pre-size everything the steady-state step touches (ISSUE 5 tentpole):
-    // the plan's activations + im2col workspaces for the largest geometry it
-    // will see (the halo-padded tile), the halo staging, and the assembly
-    // buffers. Only the overlapped engine runs the plan — kSerialized is the
-    // module-graph reference loop.
-    nn::ForwardPlan plan(*model, c, bh + 2 * halo, bw + 2 * halo, bk);
-    if (non_reference && !plan.supported()) {
-      throw std::invalid_argument(
-          std::string("parallel_rollout: the ") + bk->name() +
-          " backend requires a plan-compatible model (deconv mode runs fp32 "
-          "only)");
-    }
-    // The serialized fp32 engine stays the module-graph reference loop; any
-    // other combination evaluates through the plan (and its backend).
-    const bool use_plan = plan.supported() && (overlapped || non_reference);
-    // Interior/rim split needs a non-empty halo-independent interior.
-    const bool split = use_plan && overlapped && halo > 0 && bh > 2 * halo &&
-                       bw > 2 * halo;
-    if (use_plan && plan.needs_calibration()) {
-      // int8 activation-scale calibration: one fp32 reference pass over the
-      // step-0 input at the geometry the plan will see. The interior sits in
-      // a zero-extended halo frame (the physical-boundary treatment), so the
-      // pass is identical under both engines and any thread count.
-      if (halo > 0) {
-        Tensor calib({c, bh + 2 * halo, bw + 2 * halo});
-        calib.fill(0.0f);
-        insert_window(calib, halo, halo, interior.data(), c, bh, bw);
-        plan.calibrate(calib.data(), calib.dim(1), calib.dim(2));
-      } else {
-        plan.calibrate(interior.data(), bh, bw);
-      }
-    }
-    std::optional<domain::HaloExchange> exchange;
-    if (halo > 0 && overlapped) {
-      exchange.emplace(cart, partition, halo, halo_options,
-                       &health[static_cast<std::size_t>(rank)]);
-    }
-    Tensor padded;                    // [c, bh + 2 halo, bw + 2 halo]
-    Tensor next({c, bh, bw});         // assembled step output
-    Tensor band_h;                    // horizontal rim staging [c, 3h, bw + 2h]
-    Tensor band_v;                    // vertical rim staging [c, bh, 3h]
-    std::uint64_t buffer_growths = 0;  // engine-side regrowth events
-    DeferredGather gather;
-
+    static telemetry::Counter& adoptions_counter =
+        telemetry::counter("recover.adoptions");
+    static telemetry::Gauge& epoch_gauge =
+        telemetry::gauge("recover.assignment_epoch");
+    static telemetry::Histogram& rebalance_hist =
+        telemetry::histogram("recover.rebalance_seconds");
+    static telemetry::Histogram& detection_hist =
+        telemetry::histogram("recover.detection_seconds");
     static telemetry::Histogram& step_latency =
         telemetry::histogram("rollout.step_seconds");
-    static telemetry::Gauge& overlap_gauge =
-        telemetry::gauge("rollout.overlap_seconds");
     static telemetry::Counter& steady_counter =
         telemetry::counter("inference.steady_state_allocs");
+
+    elastic::Assignment assign(tasks, nranks);
+    std::vector<char> live(np, 1);
+    std::vector<TaskState> task(static_cast<std::size_t>(tasks));
+    std::vector<domain::HaloExchange*> peers(static_cast<std::size_t>(tasks),
+                                             nullptr);
+    for (int t = 0; t < tasks; ++t) {
+      TaskState& ts = task[static_cast<std::size_t>(t)];
+      ts.id = t;
+      ts.block = partition.block(t % px, t / px);
+      if (halo > ts.block.height() || halo > ts.block.width()) {
+        throw std::invalid_argument(
+            "parallel_rollout: halo exceeds the task block size (too many "
+            "tasks for this grid)");
+      }
+    }
 
     util::AccumulatingTimer comm_timer;
     util::AccumulatingTimer compute_timer;
     comm.reset_counters();
     std::uint64_t exchange_bytes = 0;
     std::uint64_t exchange_bytes_recv = 0;
-    std::uint64_t warm_growths = 0;  // growth baseline after the first step
-    double overlap = 0.0;
 
-    // Runs the plan over the [rows x cols] output window at (y0, x0),
-    // staging the matching halo-extended input band from `padded` and
-    // assembling the result into `next`.
-    auto run_rim = [&](std::int64_t y0, std::int64_t rows, std::int64_t x0,
-                       std::int64_t cols, Tensor& staging) {
-      extract_window(padded, y0, rows + 2 * halo, x0, cols + 2 * halo,
-                     staging, &buffer_growths);
-      const nn::ForwardPlan::Output out =
-          plan.run(staging.data(), rows + 2 * halo, cols + 2 * halo);
-      insert_window(next, y0, x0, out.data, out.channels, rows, cols);
+    // Builds (or, on adoption, rebuilds) one task's model, plan, initial
+    // field and exchange. Int8 calibration always runs on the *initial*
+    // interior, in a zero-extended halo frame (the physical-boundary
+    // treatment), so an adopted task installs the exact activation scales
+    // its original owner calibrated at step 0 — a prerequisite for
+    // bit-identical resumption.
+    auto activate = [&](TaskState& ts) {
+      util::Rng rng(config.seed);
+      ts.model = build_model(config.network, config.border, rng);
+      import_parameters(
+          *ts.model,
+          trained.rank_outcomes[static_cast<std::size_t>(ts.id)].parameters);
+      ts.interior = domain::extract_interior(initial, ts.block);
+      const std::int64_t bh = ts.block.height();
+      const std::int64_t bw = ts.block.width();
+      ts.plan = std::make_unique<nn::ForwardPlan>(*ts.model, chans,
+                                                  bh + 2 * halo, bw + 2 * halo,
+                                                  bk);
+      if (non_reference && !ts.plan->supported()) {
+        throw std::invalid_argument(
+            std::string("parallel_rollout: the ") + bk->name() +
+            " backend requires a plan-compatible model (deconv mode runs fp32 "
+            "only)");
+      }
+      ts.use_plan = ts.plan->supported();
+      if (ts.use_plan && ts.plan->needs_calibration()) {
+        if (halo > 0) {
+          Tensor calib({chans, bh + 2 * halo, bw + 2 * halo});
+          calib.fill(0.0f);
+          insert_window(calib, halo, halo, ts.interior.data(), chans, bh, bw);
+          ts.plan->calibrate(calib.data(), calib.dim(1), calib.dim(2));
+        } else {
+          ts.plan->calibrate(ts.interior.data(), bh, bw);
+        }
+      }
+      ts.next = Tensor({chans, bh, bw});
+      if (halo > 0 && !ts.exchange) {
+        ts.exchange.emplace(comm, partition, ts.id, assign, peers, halo,
+                            halo_options, &ts.health);
+        peers[static_cast<std::size_t>(ts.id)] = &*ts.exchange;
+      }
     };
 
-    for (int step = 0; step < steps; ++step) {
-      telemetry::Span step_span("rollout.step", "rollout");
-      util::WallTimer step_timer;
+    std::vector<int> owned = assign.tasks_of(rank);
+    for (const int t : owned) activate(task[static_cast<std::size_t>(t)]);
 
-      if (halo > 0 && overlapped) {
-        // Sec. III: "extra data points must be received from the neighboring
-        // processes" — post this step's border strips immediately, then run
-        // the halo-independent compute while they are in flight.
-        const std::uint64_t sent_before = comm.bytes_sent();
-        const std::uint64_t recv_before = comm.bytes_received();
-        exchange->begin(interior, &comm_timer);
-        if (split) {
-          compute_timer.start();
-          util::WallTimer overlap_timer;
-          {
-            // The halo-independent pass that hides the strip latency; the
-            // critical-path analyzer buckets it as interior compute.
-            telemetry::Span forward_span("rollout.forward.interior",
-                                         "rollout");
-            mpi::PhaseScope forward_phase(comm, "rollout.forward",
-                                          mpi::CommPolicy::kForbidden);
-            const nn::ForwardPlan::Output out =
-                plan.run(interior.data(), bh, bw);
-            insert_window(next, halo, halo, out.data, out.channels,
-                          bh - 2 * halo, bw - 2 * halo);
-          }
-          overlap += overlap_timer.seconds();
-          compute_timer.stop();
-        }
-        exchange->finish(interior, padded, &comm_timer);
-        exchange_bytes += comm.bytes_sent() - sent_before;
-        exchange_bytes_recv += comm.bytes_received() - recv_before;
-        compute_timer.start();
-        {
-          telemetry::Span forward_span(
-              split ? "rollout.forward.rim" : "rollout.forward", "rollout");
-          mpi::PhaseScope forward_phase(comm, "rollout.forward",
-                                        mpi::CommPolicy::kForbidden);
-          if (split) {
-            // Finish the rim: four thin bands of the halo-padded input.
-            run_rim(0, halo, 0, bw, band_h);                     // top
-            run_rim(bh - halo, halo, 0, bw, band_h);             // bottom
-            run_rim(halo, bh - 2 * halo, 0, halo, band_v);       // left
-            run_rim(halo, bh - 2 * halo, bw - halo, halo, band_v);  // right
-          } else if (use_plan) {
-            const nn::ForwardPlan::Output out =
-                plan.run(padded.data(), bh + 2 * halo, bw + 2 * halo);
-            insert_window(next, 0, 0, out.data, out.channels, bh, bw);
-          } else {
-            Tensor out = module_forward(*model, padded);
-            next = std::move(out);
-          }
-        }
-        compute_timer.stop();
-        std::swap(interior, next);
-      } else if (halo > 0) {
-        // Serialized reference: blocking exchange, then the forward.
-        const std::uint64_t sent_before = comm.bytes_sent();
-        const std::uint64_t recv_before = comm.bytes_received();
-        Tensor input = domain::exchange_halo(
-            cart, partition, interior, halo, &comm_timer, halo_options,
-            &health[static_cast<std::size_t>(rank)]);
-        exchange_bytes += comm.bytes_sent() - sent_before;
-        exchange_bytes_recv += comm.bytes_received() - recv_before;
-        compute_timer.start();
-        {
-          telemetry::Span forward_span("rollout.forward", "rollout");
-          mpi::PhaseScope forward_phase(comm, "rollout.forward",
-                                        mpi::CommPolicy::kForbidden);
-          if (use_plan) {
-            const nn::ForwardPlan::Output out =
-                plan.run(input.data(), bh + 2 * halo, bw + 2 * halo);
-            insert_window(next, 0, 0, out.data, out.channels, bh, bw);
-            std::swap(interior, next);
-          } else {
-            interior = module_forward(*model, input);
-          }
-        }
-        compute_timer.stop();
-      } else {
-        // Zero-pad (or deconv) mode: communication-free step on the bare
-        // interior — no input copy (the halo == 0 copy the serialized loop
-        // used to pay every step).
-        compute_timer.start();
-        {
-          telemetry::Span forward_span("rollout.forward", "rollout");
-          mpi::PhaseScope forward_phase(comm, "rollout.forward",
-                                        mpi::CommPolicy::kForbidden);
-          if (use_plan) {
-            const nn::ForwardPlan::Output out = plan.run(interior.data(), bh, bw);
-            insert_window(next, 0, 0, out.data, out.channels, bh, bw);
-            std::swap(interior, next);
-          } else {
-            interior = module_forward(*model, interior);
-          }
-        }
-        compute_timer.stop();
+    // --- heartbeat barrier (ElasticOptions::enabled only) ------------------
+    // Per-peer high-water mark of the (epoch, step) key the last heartbeat
+    // carried; the lexicographic key lets post-recovery barriers consume any
+    // stale pre-recovery heartbeat without miscounting it.
+    auto hb_key = [](std::uint32_t epoch, std::uint32_t step) {
+      return (static_cast<std::int64_t>(epoch) << 32) |
+             static_cast<std::int64_t>(step);
+    };
+    std::vector<std::int64_t> hb_seen(np, -1);
+    std::vector<std::uint32_t> hb_buf;
+    std::vector<float> gather_buf;
+
+    // The step barrier is split in two so a rank's own synchronous work
+    // (settle() below) runs between announcing its heartbeat and awaiting
+    // its peers'. heartbeat_send announces (epoch, step) to every live peer.
+    auto heartbeat_send = [&](int step) {
+      const std::array<std::uint32_t, 2> hb = {
+          static_cast<std::uint32_t>(assign.epoch()),
+          static_cast<std::uint32_t>(step)};
+      for (int p = 0; p < nranks; ++p) {
+        if (p == rank || !live[static_cast<std::size_t>(p)]) continue;
+        comm.send<std::uint32_t>(p, mpi::tags::elastic_heartbeat_tag(), hb);
       }
+    };
 
-      // Health monitor: scan this step's output for NaN/Inf. `interior`
-      // holds the freshly computed step on every engine path here. One pass
-      // over the rank's own tile, no allocation — the <2% overhead budget is
-      // verified by bench_rollout_latency's health section.
-      if (options.monitor_health) {
-        const std::uint64_t bad =
-            count_nonfinite(interior.data(), interior.size());
-        if (bad > 0) {
-          nonfinite[static_cast<std::size_t>(rank)] += bad;
-          nonfinite_counter.add(bad);
-          if (first_bad_step[static_cast<std::size_t>(rank)] < 0) {
-            first_bad_step[static_cast<std::size_t>(rank)] = step;
+    // Waits until every live peer's heartbeat reaches (epoch, step). A peer
+    // that stays silent for the whole lease budget while we wait is declared
+    // dead via DeathNotice. Never uses a collective: those would hang on the
+    // dead rank. Threading (src/minimpi/README.md): this loop and the halo
+    // receives both run on the rank's own thread, and the heartbeat and
+    // strip tag ranges are disjoint, so each channel keeps a single consumer.
+    auto heartbeat_await = [&](int step) {
+      const std::int64_t target =
+          hb_key(static_cast<std::uint32_t>(assign.epoch()),
+                 static_cast<std::uint32_t>(step));
+      std::vector<std::int64_t> waited_ms(np, 0);
+      util::WallTimer wait_timer;
+      for (;;) {
+        bool all = true;
+        for (int p = 0; p < nranks; ++p) {
+          const auto pi = static_cast<std::size_t>(p);
+          if (p == rank || !live[pi] || hb_seen[pi] >= target) continue;
+          const mpi::RecvStatus status = comm.recv_for<std::uint32_t>(
+              p, mpi::tags::elastic_heartbeat_tag(), lease, &hb_buf);
+          if (status == mpi::RecvStatus::kOk && hb_buf.size() == 2) {
+            hb_seen[pi] = std::max(hb_seen[pi], hb_key(hb_buf[0], hb_buf[1]));
+          } else {
+            waited_ms[pi] += lease.count();
+            if (waited_ms[pi] >= lease_budget_ms) {
+              // Batch every peer whose budget expired in this same round so
+              // simultaneous deaths produce one deterministic rebalance.
+              DeathNotice notice;
+              notice.waited_seconds = wait_timer.seconds();
+              for (int q = 0; q < nranks; ++q) {
+                const auto qi = static_cast<std::size_t>(q);
+                if (q != rank && live[qi] && hb_seen[qi] < target &&
+                    waited_ms[qi] >= lease_budget_ms) {
+                  notice.failed.push_back(q);
+                }
+              }
+              throw notice;
+            }
           }
+          if (hb_seen[pi] < target) all = false;
+        }
+        if (all) return;
+      }
+    };
+
+    // Bounded receive of one gathered frame block: a missing block fails
+    // this rank after several lease budgets rather than hanging.
+    auto gather_recv = [&](int src, int tag, int step) {
+      std::int64_t waited = 0;
+      const std::int64_t budget = 4 * lease_budget_ms + 1000;
+      for (;;) {
+        const mpi::RecvStatus status =
+            comm.recv_for<float>(src, tag, lease, &gather_buf);
+        if (status == mpi::RecvStatus::kOk) return;
+        if (status == mpi::RecvStatus::kCorrupt) {
+          throw mpi::fault::RankFailure(
+              "parallel_rollout: CRC-corrupt frame block from rank " +
+                  std::to_string(src),
+              -1, step);
+        }
+        waited += lease.count();
+        if (waited >= budget) {
+          throw mpi::fault::RankFailure(
+              "parallel_rollout: no frame block from rank " +
+                  std::to_string(src) + " within the patience budget",
+              -1, step);
         }
       }
+    };
 
-      // Gather the predicted frame for validation/recording (not part of the
-      // scheme's communication cost; a production run keeps fields
-      // distributed — record_every <= 0 skips this entirely). The overlapped
-      // engine defers rank 0's collection by one recorded step so the
-      // non-root strip sends overlap the next step's compute.
-      if (recorded(step)) {
-        telemetry::Span gather_span("rollout.gather", "rollout");
-        const std::size_t frame_index = static_cast<std::size_t>(
-            std::lower_bound(recorded_steps.begin(), recorded_steps.end(), step) -
-            recorded_steps.begin());
-        if (!overlapped) {
-          Tensor full = domain::gather_field(cart, partition, interior);
-          if (rank == 0) {
-            result.frames[frame_index] = std::move(full);
+    // --- halo exchange -----------------------------------------------------
+    // Every hosted task posts its W/E strips before any of them waits, then
+    // every task completes phase 1 (receives W/E, posts S/N) before any
+    // completes phase 2 — so no receive ever waits on a send its own rank
+    // has yet to make. A neighbour task whose owner is dead (and unadopted)
+    // sits behind a degraded border: its halo band stays zero.
+    auto exchange_tasks = [&] {
+      comm_timer.start();
+      const std::uint64_t sent_before = comm.bytes_sent();
+      const std::uint64_t recv_before = comm.bytes_received();
+      for (const int t : owned) {
+        TaskState& ts = task[static_cast<std::size_t>(t)];
+        ts.exchange->begin(ts.interior);
+      }
+      for (const int t : owned) {
+        task[static_cast<std::size_t>(t)].exchange->finish_x();
+      }
+      for (const int t : owned) {
+        TaskState& ts = task[static_cast<std::size_t>(t)];
+        ts.exchange->finish_y(ts.padded);
+      }
+      exchange_bytes += comm.bytes_sent() - sent_before;
+      exchange_bytes_recv += comm.bytes_received() - recv_before;
+      comm_timer.stop();
+    };
+
+    // --- deferred work (recovery mode) -------------------------------------
+    // What a rank owes between heartbeat_send and heartbeat_await: the
+    // snapshot of the previous step's result and, after a rebalance, the
+    // adoption and rollback. Done there, it overlaps the peers' wait instead
+    // of adding to the silence they time against the lease budget: under
+    // I/O load the two fsyncs of one snapshot alone have taken longer than
+    // 8 x 25 ms.
+    int unsaved_step = -1;           // step whose result awaits its snapshot
+    std::vector<int> to_adopt;       // orphans assigned here, not yet active
+    std::optional<int> rollback_to;  // pending rollback line (-1 = initial)
+    auto settle = [&] {
+      if (unsaved_step >= 0) {
+        for (const int t : owned) {
+          elastic::save_task_state(el.state_dir, t, unsaved_step,
+                                   task[static_cast<std::size_t>(t)].interior);
+        }
+        unsaved_step = -1;
+      }
+      if (!rollback_to) return;
+      util::WallTimer rebalance_timer;
+      for (const int t : to_adopt) activate(task[static_cast<std::size_t>(t)]);
+      to_adopt.clear();
+      // Roll every owned task (adopted and original alike) back to the
+      // newest common snapshot line; without snapshots, back to the initial
+      // frame.
+      const int line = *rollback_to;
+      for (const int t : owned) {
+        TaskState& ts = task[static_cast<std::size_t>(t)];
+        if (line >= 0) {
+          std::string why;
+          if (!elastic::load_task_state(el.state_dir, t, line, &ts.interior,
+                                        &why)) {
+            throw std::runtime_error("parallel_rollout: rollback of task " +
+                                     std::to_string(t) + " to step " +
+                                     std::to_string(line) + " failed: " + why);
           }
         } else {
-          domain::gather_field_send(cart, interior);
-          if (rank == 0) {
-            if (gather.pending.size() == 2) {
-              const DeferredGather::Round round = gather.pending.front();
-              gather.pending.pop_front();
-              domain::gather_field_collect(cart, partition,
-                                           gather.stages[round.stage_slot],
-                                           result.frames[round.frame_index]);
-            }
-            gather.stages[gather.next_slot] = interior;
-            gather.pending.push_back({frame_index, gather.next_slot});
-            gather.next_slot ^= 1;
+          ts.interior = domain::extract_interior(initial, ts.block);
+        }
+        ts.health.reset();
+      }
+      rollback_to.reset();
+      const double rebalance_s = rebalance_timer.seconds();
+      rebalance_seconds_of[ri] += rebalance_s;
+      rebalance_hist.observe(rebalance_s);
+    };
+
+    // --- failure handling (recovery mode) ----------------------------------
+    // Every survivor runs this with the identical failed set at the identical
+    // step (the all-to-all barrier guarantees it), so the rebalanced map and
+    // the rollback line agree everywhere with no coordination. Returns the
+    // step to resume from: the rolled-back line + 1 under recovery, or the
+    // current step (continue degraded) with recover off. Under recovery the
+    // adoption and rollback themselves are left to settle().
+    auto handle_death = [&](const DeathNotice& notice, int step) -> int {
+      if (std::find(notice.failed.begin(), notice.failed.end(), 0) !=
+          notice.failed.end()) {
+        throw std::runtime_error(
+            "parallel_rollout: rank 0 died; it hosts the recorded frames and "
+            "cannot be adopted");
+      }
+      for (const int q : notice.failed) live[static_cast<std::size_t>(q)] = 0;
+      if (detect_step_of[ri] < 0) {
+        detect_step_of[ri] = step;
+        detect_seconds_of[ri] = notice.waited_seconds;
+      }
+      detection_hist.observe(notice.waited_seconds);
+      std::string who;
+      for (const int q : notice.failed) {
+        if (!who.empty()) who += ',';
+        who += std::to_string(q);
+      }
+      // The blip: every border facing a dead rank's task degrades now; under
+      // recovery it is healthy again the moment the task is adopted.
+      int blip = 0;
+      for (const int t : owned) {
+        TaskState& ts = task[static_cast<std::size_t>(t)];
+        for (const mpi::Direction d : mpi::kAllDirections) {
+          const int nt = partition.neighbor(t, d);
+          if (nt < 0) continue;
+          if (!live[static_cast<std::size_t>(assign.owner(nt))] &&
+              !ts.health.degraded(d)) {
+            ts.health.mark_degraded(d);
+            ++blip;
           }
         }
       }
-      if (step == 0) {
-        warm_growths = plan.supported() ? plan.growth_events() : 0;
-        warm_growths += buffer_growths;
+      if (!el.recover) {
+        util::log_warn() << "rank " << rank << ": rank(s) " << who
+                         << " dead at step " << step
+                         << "; recovery disabled, " << blip
+                         << " border(s) degraded to zero padding";
+        return step;
       }
+      const std::vector<int> orphans = assign.rebalance(notice.failed);
+      for (const int t : orphans) {
+        if (assign.owner(t) == rank) to_adopt.push_back(t);
+      }
+      const int adopted = static_cast<int>(to_adopt.size());
+      owned = assign.tasks_of(rank);
+      // The dead rank completed step-1 but saved only up to step-2: each
+      // step's snapshot is written during the next step's settle(), which a
+      // rank killed at this step boundary never reached. Survivors hold
+      // every line <= step-1, so step-2 bounds the newest common line.
+      rollback_to =
+          snapshots ? elastic::rollback_line(step - 2, el.state_every) : -1;
+      const int line = *rollback_to;
+      recoveries_of[ri] += 1;
+      adopted_of[ri] += adopted;
+      blip_of[ri] += blip;
+      epoch_of[ri] = assign.epoch();
+      adoptions_counter.add(static_cast<std::uint64_t>(adopted));
+      epoch_gauge.set(static_cast<double>(assign.epoch()));
+      util::log_warn() << "rank " << rank << ": rank(s) " << who
+                       << " dead at step " << step << "; epoch "
+                       << assign.epoch() << ", adopted " << adopted
+                       << " task(s), resuming from step " << (line + 1);
+      return line + 1;
+    };
+
+    // --- main loop ---------------------------------------------------------
+    std::uint64_t warm_growths = 0;
+    int warm_until = 0;  // re-baselined after recovery: adopted plans grow once
+    auto total_growths = [&] {
+      std::uint64_t g = 0;
+      for (const int t : owned) {
+        const TaskState& ts = task[static_cast<std::size_t>(t)];
+        if (ts.use_plan) g += ts.plan->growth_events();
+        if (ts.exchange) g += ts.exchange->growth_events();
+      }
+      return g;
+    };
+
+    int step = 0;
+    while (step < steps) {
+      telemetry::Span step_span("rollout.step", "rollout");
+      util::WallTimer step_timer;
+      if (el.enabled) {
+        // Step-boundary kill point: a killed rank dies *before* sending
+        // anything for this step, so no partial traffic is ever in flight at
+        // detection time.
+        mpi::fault::check_kill_step(rank, step);
+        heartbeat_send(step);
+        settle();
+        bool rolled_back = false;
+        for (;;) {
+          try {
+            heartbeat_await(step);
+            break;
+          } catch (const DeathNotice& notice) {
+            const int resume = handle_death(notice, step);
+            if (el.recover) {
+              // New epoch: the loop head sends a fresh heartbeat.
+              step = resume;
+              rolled_back = true;
+              break;
+            }
+            // Recover off: the barrier re-runs without the dead peers; our
+            // heartbeat for this step is already out, don't duplicate it.
+          }
+        }
+        if (rolled_back) {
+          warm_until = step;
+          continue;
+        }
+      }
+
+      // Sec. III: "extra data points must be received from the neighboring
+      // processes" — then every hosted task runs its forward on the padded
+      // tile.
+      if (halo > 0) exchange_tasks();
+      compute_timer.start();
+      {
+        telemetry::Span forward_span("rollout.forward", "rollout");
+        mpi::PhaseScope forward_phase(comm, "rollout.forward",
+                                      mpi::CommPolicy::kForbidden);
+        for (const int t : owned) {
+          TaskState& ts = task[static_cast<std::size_t>(t)];
+          Tensor& input = halo > 0 ? ts.padded : ts.interior;
+          if (ts.use_plan) {
+            const nn::ForwardPlan::Output out =
+                ts.plan->run(input.data(), input.dim(1), input.dim(2));
+            insert_window(ts.next, 0, 0, out.data, out.channels,
+                          ts.block.height(), ts.block.width());
+            std::swap(ts.interior, ts.next);
+          } else {
+            ts.interior = module_forward(*ts.model, input);
+          }
+        }
+      }
+      compute_timer.stop();
+
+      // Health monitor: scan this step's output for NaN/Inf. One pass over
+      // each hosted tile, no allocation — the <2% overhead budget is checked
+      // by bench_rollout_latency's health section.
+      if (options.monitor_health) {
+        for (const int t : owned) {
+          const TaskState& ts = task[static_cast<std::size_t>(t)];
+          const std::uint64_t bad =
+              count_nonfinite(ts.interior.data(), ts.interior.size());
+          if (bad > 0) {
+            nonfinite[ri] += bad;
+            nonfinite_counter.add(bad);
+            if (first_bad_step[ri] < 0) first_bad_step[ri] = step;
+          }
+        }
+      }
+
+      if (snapshots && (step + 1) % el.state_every == 0) unsaved_step = step;
+
+      // Gather the predicted frame on rank 0 for validation/recording (not
+      // part of the scheme's communication cost; a production run keeps
+      // fields distributed — record_every <= 0 skips this entirely).
+      if (recorded(step)) {
+        telemetry::Span gather_span("rollout.gather", "rollout");
+        comm_timer.start();
+        const std::size_t frame_index = static_cast<std::size_t>(
+            std::lower_bound(recorded_steps.begin(), recorded_steps.end(),
+                             step) -
+            recorded_steps.begin());
+        if (rank != 0) {
+          for (const int t : owned) {
+            comm.send<float>(0, mpi::tags::task_gather_tag(t),
+                             task[static_cast<std::size_t>(t)].interior.values());
+          }
+        } else {
+          Tensor& full = result.frames[frame_index];
+          full = Tensor({chans, partition.grid_h(), partition.grid_w()});
+          for (int t = 0; t < tasks; ++t) {
+            const TaskState& ts = task[static_cast<std::size_t>(t)];
+            const int src = assign.owner(t);
+            // Dead, unadopted tasks leave zero holes (recover off only).
+            if (!live[static_cast<std::size_t>(src)]) continue;
+            const domain::BlockRange& b = ts.block;
+            const float* block = ts.interior.data();
+            if (src != 0) {
+              gather_recv(src, mpi::tags::task_gather_tag(t), step);
+              if (gather_buf.size() !=
+                  static_cast<std::size_t>(chans * b.height() * b.width())) {
+                throw std::runtime_error(
+                    "parallel_rollout: gathered block size mismatch");
+              }
+              block = gather_buf.data();
+            }
+            insert_window(full, b.h0, b.w0, block, chans, b.height(),
+                          b.width());
+          }
+        }
+        comm_timer.stop();
+      }
+
+      if (step == warm_until) warm_growths = total_growths();
       if (rank == 0) {
         const double seconds = step_timer.seconds();
         result.step_seconds[static_cast<std::size_t>(step)] = seconds;
         step_latency.observe(seconds);
       }
+      ++step;
     }
-    // Drain the deferred recording rounds.
-    while (rank == 0 && !gather.pending.empty()) {
-      const DeferredGather::Round round = gather.pending.front();
-      gather.pending.pop_front();
-      domain::gather_field_collect(cart, partition,
-                                   gather.stages[round.stage_slot],
-                                   result.frames[round.frame_index]);
-    }
+    if (el.enabled) settle();  // the final step's snapshot
 
-    const std::uint64_t total_growths =
-        (plan.supported() ? plan.growth_events() : 0) + buffer_growths;
-    steady_allocs[static_cast<std::size_t>(rank)] = total_growths - warm_growths;
-    steady_counter.add(total_growths - warm_growths);
-    overlap_gauge.add(overlap);
-    overlap_seconds[static_cast<std::size_t>(rank)] = overlap;
-    comm_seconds[static_cast<std::size_t>(rank)] = comm_timer.seconds();
-    compute_seconds[static_cast<std::size_t>(rank)] = compute_timer.seconds();
-    halo_bytes[static_cast<std::size_t>(rank)] = exchange_bytes;
-    halo_bytes_recv[static_cast<std::size_t>(rank)] = exchange_bytes_recv;
-    total_sent[static_cast<std::size_t>(rank)] = comm.bytes_sent();
-    total_recv[static_cast<std::size_t>(rank)] = comm.bytes_received();
-  });
-
-  for (int r = 0; r < ranks; ++r) {
-    const domain::BorderHealth& h = health[static_cast<std::size_t>(r)];
-    if (h.any()) {
-      result.degraded_borders += h.count();
-      result.degraded_detail.push_back("rank " + std::to_string(r) + ": " +
-                                       h.describe());
+    const std::uint64_t growths = total_growths();
+    steady_allocs[ri] = growths - warm_growths;
+    steady_counter.add(growths - warm_growths);
+    comm_seconds[ri] = comm_timer.seconds();
+    compute_seconds[ri] = compute_timer.seconds();
+    halo_bytes[ri] = exchange_bytes;
+    halo_bytes_recv[ri] = exchange_bytes_recv;
+    total_sent[ri] = comm.bytes_sent();
+    total_recv[ri] = comm.bytes_received();
+    for (const int t : owned) {
+      const TaskState& ts = task[static_cast<std::size_t>(t)];
+      max_residual[ri] = std::max(max_residual[ri], ts.health.max_residual());
+      if (ts.health.any()) {
+        task_degraded[static_cast<std::size_t>(t)] = ts.health.count();
+        task_border[static_cast<std::size_t>(t)] = ts.health.describe();
+      }
     }
-    result.health.nonfinite_values += nonfinite[static_cast<std::size_t>(r)];
-    const int bad_step = first_bad_step[static_cast<std::size_t>(r)];
-    if (bad_step >= 0 && (result.health.first_nonfinite_step < 0 ||
-                          bad_step < result.health.first_nonfinite_step)) {
-      result.health.first_nonfinite_step = bad_step;
+  };
+
+  // Recovery mode survives injected rank deaths (fault::RankFailure); without
+  // it every rank error propagates to the caller.
+  mpi::Environment env(nranks);
+  mpi::RunOutcome outcome;
+  if (el.enabled) {
+    outcome = env.run_collect(body);
+  } else {
+    env.run(body);
+  }
+
+  for (int r = 0; r < nranks; ++r) {
+    const auto ri = static_cast<std::size_t>(r);
+    result.health.nonfinite_values += nonfinite[ri];
+    if (first_bad_step[ri] >= 0 &&
+        (result.health.first_nonfinite_step < 0 ||
+         first_bad_step[ri] < result.health.first_nonfinite_step)) {
+      result.health.first_nonfinite_step = first_bad_step[ri];
       result.health.first_nonfinite_rank = r;
     }
     result.health.max_interface_residual =
-        std::max(result.health.max_interface_residual, h.max_residual());
-    result.comm_seconds =
-        std::max(result.comm_seconds, comm_seconds[static_cast<std::size_t>(r)]);
-    result.compute_seconds = std::max(
-        result.compute_seconds, compute_seconds[static_cast<std::size_t>(r)]);
-    result.overlap_seconds = std::max(
-        result.overlap_seconds, overlap_seconds[static_cast<std::size_t>(r)]);
-    result.steady_state_allocs += steady_allocs[static_cast<std::size_t>(r)];
-    result.halo_bytes += halo_bytes[static_cast<std::size_t>(r)];
-    result.halo_bytes_received += halo_bytes_recv[static_cast<std::size_t>(r)];
-    result.bytes_sent += total_sent[static_cast<std::size_t>(r)];
-    result.bytes_received += total_recv[static_cast<std::size_t>(r)];
+        std::max(result.health.max_interface_residual, max_residual[ri]);
+    result.comm_seconds = std::max(result.comm_seconds, comm_seconds[ri]);
+    result.compute_seconds =
+        std::max(result.compute_seconds, compute_seconds[ri]);
+    result.steady_state_allocs += steady_allocs[ri];
+    result.halo_bytes += halo_bytes[ri];
+    result.halo_bytes_received += halo_bytes_recv[ri];
+    result.bytes_sent += total_sent[ri];
+    result.bytes_received += total_recv[ri];
+    result.health.recoveries =
+        std::max(result.health.recoveries, recoveries_of[ri]);
+    result.health.adopted_tasks += adopted_of[ri];
+    result.health.detection_step =
+        std::max(result.health.detection_step, detect_step_of[ri]);
+    result.health.detection_seconds =
+        std::max(result.health.detection_seconds, detect_seconds_of[ri]);
+    result.health.rebalance_seconds =
+        std::max(result.health.rebalance_seconds, rebalance_seconds_of[ri]);
+    result.health.assignment_epoch =
+        std::max(result.health.assignment_epoch, epoch_of[ri]);
+    result.health.degraded_during_recovery += blip_of[ri];
   }
+  for (int t = 0; t < tasks; ++t) {
+    const auto ti = static_cast<std::size_t>(t);
+    if (task_degraded[ti] > 0) {
+      result.degraded_borders += task_degraded[ti];
+      result.degraded_detail.push_back("task " + std::to_string(t) + ": " +
+                                       task_border[ti]);
+    }
+  }
+  result.health.failed_ranks = static_cast<int>(outcome.failed_ranks().size());
   result.health.quant_saturations = saturated.value() - saturated_before;
   result.health.degraded_borders = result.degraded_borders;
   return result;

@@ -1,7 +1,7 @@
 #pragma once
 
-// Parallel autoregressive inference (Sec. III, "Inference"): every rank
-// predicts its own subdomain; between time steps the subdomain boundaries are
+// Parallel autoregressive inference (Sec. III, "Inference"): every subdomain
+// network predicts its own tile; between time steps the tile borders are
 // exchanged with the four neighbours through point-to-point messages, exactly
 // like a domain-decomposed classical solver. The sequential (monolithic)
 // rollout is provided for the equivalence tests and accuracy baselines.
@@ -22,39 +22,26 @@ class KernelBackend;
 
 namespace parpde::core {
 
-// Which rollout loop parallel_rollout runs.
-enum class RolloutEngine {
-  // Asynchronous pipeline (the default): border strips are posted the moment
-  // a step's output exists, the halo-independent interior of the next forward
-  // runs while they are in flight, and the rim is finished after the bounded
-  // receives land. All per-layer activations, im2col workspaces and halo
-  // staging buffers are pre-sized at rollout start (ForwardPlan), so the
-  // steady-state step performs zero heap allocations. Bit-identical to
-  // kSerialized (tests/test_rollout_overlap.cpp).
-  kOverlapped,
-  // The straight-line reference loop: blocking halo exchange, then the
-  // module-graph forward, then the frame gather — halo latency sits on the
-  // critical path. Kept as the baseline for equivalence tests and the
-  // bench_rollout_latency speedup measurement.
-  kSerialized,
-};
-
-// Elastic runtime knobs (src/elastic/): over-decompose the grid into
-// M = trained.ranks subdomain tasks hosted on P = M / tasks_per_rank ranks,
-// detect rank death through missed heartbeat leases, and have survivors
-// adopt the orphaned tasks (deterministic rebalance + rollback to the newest
-// common PPES state snapshot), so a mid-rollout kill ends as a bounded blip
-// instead of a permanently degraded border. Disabled by default — the
-// default engines take the exact same path as before. See
+// Placement and recovery knobs. The rollout always runs the grid as
+// M = trained.ranks subdomain *tasks* hosted on P = M / tasks_per_rank rank
+// threads (task t starts on rank t % P). With `enabled` set, the ranks also
+// detect rank death through missed heartbeat leases and the survivors adopt
+// the orphaned tasks (deterministic rebalance + rollback to the newest common
+// PPES state snapshot), so a mid-rollout kill ends as a bounded blip instead
+// of a permanently degraded border. Without it there is no heartbeat: a
+// silent neighbour degrades its border through the bounded halo receive. See
 // docs/robustness.md ("Recovery protocol").
 struct ElasticOptions {
+  // Detect rank deaths (per-step heartbeat barrier) and, with `recover`,
+  // adopt the dead rank's tasks. The fields below `tasks_per_rank` apply
+  // only when this is set.
   bool enabled = false;
   // The trained report must hold tasks_per_rank * P rank outcomes; the
   // rollout runs P physical ranks, each initially owning tasks_per_rank
-  // tasks (task t starts on rank t % P).
+  // tasks. Applies with or without `enabled`.
   int tasks_per_rank = 1;
   // false = detect but do not adopt: the dead rank's tasks stay orphaned and
-  // their borders degrade permanently (the pre-elastic behaviour).
+  // their borders degrade permanently.
   bool recover = true;
   // One heartbeat lease interval; a peer is declared dead after
   // `missed_leases` consecutive intervals without any sign of life while
@@ -73,22 +60,19 @@ struct ElasticOptions {
 struct RolloutOptions {
   domain::HaloOptions halo;
   ElasticOptions elastic;
-  RolloutEngine engine = RolloutEngine::kOverlapped;
   // Gather the full frame on rank 0 every `record_every`-th step (the final
   // step is always recorded so callers get the end state); <= 0 disables
-  // recording entirely. With the overlapped engine the gather is deferred and
-  // double-buffered: non-root strip sends overlap the next step's compute and
-  // rank 0 collects one recorded step behind.
+  // recording entirely.
   int record_every = 1;
   // Execution provider for the per-step forward passes (see src/backend/):
   // nullptr = the reference fp32 backend. The int8 backend
   // (backend::quantized_int8()) calibrates activation scales from the initial
-  // frame on each rank before the first step and requires a plan-compatible
+  // frame of each task before the first step and requires a plan-compatible
   // model (not deconv mode). Halo exchange always stages fp32 either way —
   // quantization is internal to the conv kernels, never on the wire.
   const backend::KernelBackend* backend = nullptr;
   // Always-on health monitor (RolloutResult::health): per-step NaN/Inf scan
-  // of each rank's output, interface-residual probes at subdomain seams, and
+  // of each task's output, interface-residual probes at subdomain seams, and
   // int8 saturation accounting. Zero allocations and <2% step overhead
   // (measured in bench_rollout_latency); off only for overhead benchmarking.
   bool monitor_health = true;
@@ -113,7 +97,7 @@ struct HealthReport {
   // Mirror of RolloutResult::degraded_borders for one-stop health checks.
   int degraded_borders = 0;
 
-  // Elastic recovery summary (all zero unless the elastic engine ran and a
+  // Recovery summary (all zero unless ElasticOptions::enabled was set and a
   // rank died): how many recovery rounds completed, how many orphaned tasks
   // the survivors adopted, where/how fast the death was detected, and how
   // long the deterministic rebalance + state rollback took (max over ranks).
@@ -158,10 +142,9 @@ struct RolloutResult {
   // and fell back to the zero-padding treatment (docs/robustness.md). Zero /
   // empty on a healthy run.
   int degraded_borders = 0;
-  std::vector<std::string> degraded_detail;  // e.g. "rank 2: E,N"
-  // Max over ranks of the forward time that ran while that rank's halo strips
-  // were in flight (0 for the serialized engine): the hidden-latency window
-  // the overlap design section of docs/performance.md measures.
+  std::vector<std::string> degraded_detail;  // e.g. "task 2: E,N"
+  // Forward time that ran while halo strips were in flight. Always 0: the
+  // rollout exchanges, then computes. Kept for readers of the field.
   double overlap_seconds = 0.0;
   // Total buffer regrowths after the first step, summed over ranks (plan
   // activations, im2col workspaces, halo staging). 0 means the steady-state
@@ -179,15 +162,21 @@ struct RolloutResult {
 // (p2p halo exchange per step); kValidInner cannot roll out because its
 // output loses the subdomain rim (the limitation Sec. III points out).
 //
-// Halo receives are bounded by `halo_options`; a border whose neighbour is
-// definitively lost degrades (sticky, per rank) to zero padding and the
-// rollout keeps going — it never deadlocks under message loss.
+// Each step, every rank exchanges the halo strips of the tasks it hosts
+// (domain::HaloExchange; strips between two tasks on one rank are copied
+// directly), then runs one pre-sized ForwardPlan per task over the padded
+// tile, so the steady-state step allocates nothing. Halo receives are bounded
+// by `halo_options`; a border whose neighbour is definitively lost degrades
+// (sticky, per task) to zero padding and the rollout keeps going — it never
+// deadlocks under message loss. Frames are bit-identical for every
+// tasks_per_rank, pool worker count and recovery setting
+// (tests/test_rollout_overlap.cpp, tests/test_elastic.cpp).
 RolloutResult parallel_rollout(const TrainConfig& config,
                                const ParallelTrainReport& trained,
                                const Tensor& initial, int steps,
                                const RolloutOptions& options);
 
-// Compatibility overload: overlapped engine, every step recorded.
+// Compatibility overload: default options with `halo_options`.
 RolloutResult parallel_rollout(const TrainConfig& config,
                                const ParallelTrainReport& trained,
                                const Tensor& initial, int steps,

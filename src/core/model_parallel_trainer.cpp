@@ -104,6 +104,8 @@ ModelParallelReport ModelParallelTrainer::train(
                                 c1[static_cast<std::size_t>(l)]);
       slices.push_back(std::move(conv));
     }
+    // Layer 0's input gradient would be the dataset's: nothing reads it.
+    slices.front()->set_needs_input_grad(false);
     std::vector<nn::ParamRef> my_params;
     for (auto& conv : slices) {
       for (auto& p : conv->parameters()) my_params.push_back(p);
@@ -182,6 +184,7 @@ ModelParallelReport ModelParallelTrainer::train(
                           sizeof(float));
         }
         Tensor dx = slices[static_cast<std::size_t>(l)]->backward(dy_slice);
+        if (l == 0) break;  // no dx: the input needs no gradient
         // Sum the per-slice input-gradient contributions across ranks.
         comm_timer.start();
         telemetry::Span span("mp.allreduce", "comm");

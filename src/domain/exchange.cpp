@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
+#include "elastic/assignment.hpp"
 #include "minimpi/tags.hpp"
 #include "util/log.hpp"
 #include "util/telemetry.hpp"
@@ -11,19 +13,6 @@
 namespace parpde::domain {
 
 namespace {
-
-// Halo traffic uses the registered tags::kHalo block; the payload's direction
-// of travel is encoded as the offset, so a rank receives its east halo as the
-// message that travelled west from its east neighbour.
-constexpr int travel_tag(mpi::Direction d) {
-  return mpi::tags::kHalo.base + static_cast<int>(d);
-}
-
-// The tag a strip arriving across border `side` carries: it travelled in the
-// opposite direction (our east halo is the neighbour's west-travelling strip).
-int arrival_tag(mpi::Direction side) {
-  return travel_tag(mpi::opposite(side));
-}
 
 // Copies the [y0, y0+hh) x [x0, x0+ww) window of a [C, h, w] tensor into a
 // packed strip buffer (length C * hh * ww), reusing its capacity.
@@ -51,10 +40,10 @@ std::vector<float> pack_region(const Tensor& t, std::int64_t y0, std::int64_t hh
 
 // Inverse of pack_region.
 void unpack_region(Tensor& t, std::int64_t y0, std::int64_t hh, std::int64_t x0,
-                   std::int64_t ww, const std::vector<float>& strip) {
+                   std::int64_t ww, std::span<const float> strip) {
   const auto c = t.dim(0), h = t.dim(1), w = t.dim(2);
   if (strip.size() != static_cast<std::size_t>(c * hh * ww)) {
-    throw std::runtime_error("halo exchange: strip size mismatch");
+    throw std::runtime_error("domain exchange: block size mismatch");
   }
   const float* src = strip.data();
   for (std::int64_t ic = 0; ic < c; ++ic) {
@@ -113,18 +102,31 @@ double col_residual(const Tensor& t, std::int64_t xa, std::int64_t xb) {
   return sum / static_cast<double>(c * h);
 }
 
-// Copies all of `src` ([C, sh, sw]) into `dst` ([C, h, w]) at (y0, x0).
-void copy_window(Tensor& dst, std::int64_t y0, std::int64_t x0,
-                 const Tensor& src) {
+// Copies the [sy, sy+hh) x [sx, sx+ww) window of `src` into `dst` at
+// (dy, dx); both are [C, h, w] with the same channel count.
+void copy_region(Tensor& dst, std::int64_t dy, std::int64_t dx,
+                 const Tensor& src, std::int64_t sy, std::int64_t sx,
+                 std::int64_t hh, std::int64_t ww) {
   const auto c = src.dim(0), sh = src.dim(1), sw = src.dim(2);
   const auto h = dst.dim(1), w = dst.dim(2);
   for (std::int64_t ic = 0; ic < c; ++ic) {
-    for (std::int64_t y = 0; y < sh; ++y) {
-      const float* s = src.data() + (ic * sh + y) * sw;
-      float* d = dst.data() + (ic * h + y0 + y) * w + x0;
-      std::copy(s, s + sw, d);
+    for (std::int64_t y = 0; y < hh; ++y) {
+      const float* s = src.data() + (ic * sh + sy + y) * sw + sx;
+      float* d = dst.data() + (ic * h + dy + y) * w + dx;
+      std::copy(s, s + ww, d);
     }
   }
+}
+
+// Resizes a staging tensor to [c, h, w] unless it already has that shape;
+// returns 1 when it had to allocate (the growth-event count).
+std::uint64_t ensure_shape(Tensor& t, std::int64_t c, std::int64_t h,
+                           std::int64_t w) {
+  if (t.ndim() == 3 && t.dim(0) == c && t.dim(1) == h && t.dim(2) == w) {
+    return 0;
+  }
+  t = Tensor({c, h, w});
+  return 1;
 }
 
 }  // namespace
@@ -139,32 +141,82 @@ std::string BorderHealth::describe() const {
   return out;
 }
 
+HaloExchange::HaloExchange(mpi::Communicator& comm, const Partition& partition,
+                           int task, const elastic::Assignment& owners,
+                           const std::vector<HaloExchange*>& peers,
+                           std::int64_t halo, const HaloOptions& options,
+                           BorderHealth* health)
+    : comm_(comm),
+      partition_(partition),
+      task_(task),
+      owners_(&owners),
+      peers_(&peers),
+      halo_(halo),
+      options_(options),
+      health_(health) {
+  if (task < 0 || task >= partition.blocks() || task >= mpi::tags::kMaxTasks) {
+    throw std::invalid_argument("HaloExchange: task out of range");
+  }
+  block_ = partition.block(task % partition.px(), task / partition.px());
+  if (halo <= 0) {
+    throw std::invalid_argument("HaloExchange: halo must be positive");
+  }
+  if (halo > block_.height() || halo > block_.width()) {
+    throw std::invalid_argument("HaloExchange: halo exceeds block size");
+  }
+}
+
 HaloExchange::HaloExchange(mpi::CartComm& cart, const Partition& partition,
                            std::int64_t halo, const HaloOptions& options,
                            BorderHealth* health)
-    : cart_(cart),
+    : comm_(cart.comm()),
       partition_(partition),
+      task_(cart.comm().rank()),
+      owners_(nullptr),
+      peers_(nullptr),
+      block_(partition.block(cart.cx(), cart.cy())),
       halo_(halo),
       options_(options),
       health_(health) {
   if (halo <= 0) {
     throw std::invalid_argument("HaloExchange: halo must be positive");
   }
+  if (halo > block_.height() || halo > block_.width()) {
+    throw std::invalid_argument("HaloExchange: halo exceeds block size");
+  }
+}
+
+int HaloExchange::neighbor(mpi::Direction side) const {
+  return partition_.neighbor(task_, side);
+}
+
+int HaloExchange::owner(int task) const {
+  return owners_ != nullptr ? owners_->owner(task) : task;
+}
+
+const HaloExchange* HaloExchange::local_peer(mpi::Direction side) const {
+  const int nt = neighbor(side);
+  if (nt < 0 || peers_ == nullptr || owner(nt) != comm_.rank()) return nullptr;
+  const HaloExchange* peer = (*peers_)[static_cast<std::size_t>(nt)];
+  if (peer == nullptr) {
+    throw std::logic_error("HaloExchange: co-resident task " +
+                           std::to_string(nt) + " has no exchange");
+  }
+  return peer;
 }
 
 bool HaloExchange::live(mpi::Direction side) const {
-  return cart_.neighbor(side) != mpi::kProcNull &&
-         !(health_ != nullptr && health_->degraded(side));
+  return neighbor(side) >= 0 && !(health_ != nullptr && health_->degraded(side));
 }
 
 void HaloExchange::degrade(mpi::Direction side, const std::string& why) {
   static telemetry::Counter& degraded_borders =
       telemetry::counter("inference.degraded_borders");
-  mpi::Communicator& comm = cart_.comm();
-  const std::string what =
-      "rank " + std::to_string(comm.rank()) + ": halo border " +
-      direction_name(side) + " (neighbour rank " +
-      std::to_string(cart_.neighbor(side)) + ") lost: " + why;
+  const int nt = neighbor(side);
+  const std::string what = "task " + std::to_string(task_) + ": halo border " +
+                           direction_name(side) + " (neighbour task " +
+                           std::to_string(nt) + " on rank " +
+                           std::to_string(owner(nt)) + ") lost: " + why;
   if (health_ == nullptr) {
     throw std::runtime_error("exchange_halo: " + what);
   }
@@ -177,22 +229,24 @@ void HaloExchange::drain_stale(mpi::Direction side) {
   // A degraded border's neighbour may keep sending until it degrades its own
   // side; discard that stale mail so it cannot mismatch a later step (and so
   // the finalize leak check stays clean).
-  if (cart_.neighbor(side) == mpi::kProcNull || health_ == nullptr ||
-      !health_->degraded(side)) {
+  if (neighbor(side) < 0 || health_ == nullptr || !health_->degraded(side) ||
+      local_peer(side) != nullptr) {
     return;
   }
-  mpi::Communicator& comm = cart_.comm();
-  while (comm.recv_for<float>(cart_.neighbor(side), arrival_tag(side),
-                              std::chrono::milliseconds(0),
-                              &recv_strip_) != mpi::RecvStatus::kTimeout) {
+  const int src = owner(neighbor(side));
+  const int tag = mpi::tags::halo_tag(task_, static_cast<int>(mpi::opposite(side)));
+  while (comm_.recv_for<float>(src, tag, std::chrono::milliseconds(0),
+                               &recv_strip_) != mpi::RecvStatus::kTimeout) {
   }
 }
 
-void HaloExchange::timed_send(mpi::Direction side,
-                              const std::vector<float>& strip,
+void HaloExchange::send_strip(mpi::Direction side,
                               util::AccumulatingTimer* comm_time) {
   util::WallTimer timer;
-  cart_.comm().send<float>(cart_.neighbor(side), travel_tag(side), strip);
+  const int nt = neighbor(side);
+  comm_.send<float>(owner(nt), mpi::tags::halo_tag(nt, static_cast<int>(side)),
+                    send_strip_);
+  bytes_sent_ += send_strip_.size() * sizeof(float);
   if (comm_time != nullptr) comm_time->add(timer.seconds());
 }
 
@@ -205,15 +259,16 @@ void HaloExchange::timed_send(mpi::Direction side,
 // forever). Returns false when the border just degraded; the caller leaves
 // its halo zero. Timeout choices never touch the send-side fault engine, so
 // per-channel fault-draw sequences are unchanged by any backoff schedule.
-// Threading (src/minimpi/README.md): the overlapped engine may run this on a
-// pool worker, but one side's receives are strictly sequential through this
-// object, so each halo channel (and recv_strip_) keeps a single consumer.
+// Threading (src/minimpi/README.md): one task's receives run strictly in
+// sequence on its rank's thread, and each (source, task tag) channel belongs
+// to exactly one task, so every halo channel keeps a single consumer.
 bool HaloExchange::robust_recv(mpi::Direction side,
                                util::AccumulatingTimer* comm_time) {
   static telemetry::Counter& retries = telemetry::counter("comm.retries");
   static telemetry::Histogram& retry_latency =
       telemetry::histogram("comm.retry_seconds");
-  mpi::Communicator& comm = cart_.comm();
+  const int src = owner(neighbor(side));
+  const int tag = mpi::tags::halo_tag(task_, static_cast<int>(mpi::opposite(side)));
   const std::int64_t stall_start =
       telemetry::enabled() ? telemetry::now_us() : 0;
   util::WallTimer timer;
@@ -227,8 +282,8 @@ bool HaloExchange::robust_recv(mpi::Direction side,
     const std::chrono::milliseconds slice =
         std::min(wait, std::max(options_.recv_budget - spent,
                                 std::chrono::milliseconds(1)));
-    const mpi::RecvStatus status = comm.recv_for<float>(
-        cart_.neighbor(side), arrival_tag(side), slice, &recv_strip_);
+    const mpi::RecvStatus status =
+        comm_.recv_for<float>(src, tag, slice, &recv_strip_);
     if (status == mpi::RecvStatus::kOk) {
       got = true;
       break;
@@ -260,57 +315,54 @@ bool HaloExchange::robust_recv(mpi::Direction side,
   return false;
 }
 
+void HaloExchange::observe_seam(double residual) {
+  health_->observe_residual(residual);
+  last_residual_ = residual;
+}
+
 void HaloExchange::begin(const Tensor& interior,
                          util::AccumulatingTimer* comm_time) {
-  if (interior.ndim() != 3) {
-    throw std::invalid_argument("HaloExchange: expected [C,bh,bw] interior");
-  }
-  const BlockRange block = partition_.block(cart_.cx(), cart_.cy());
-  const auto bh = interior.dim(1);
-  const auto bw = interior.dim(2);
-  if (bh != block.height() || bw != block.width()) {
+  if (interior.ndim() != 3 || interior.dim(1) != block_.height() ||
+      interior.dim(2) != block_.width()) {
     throw std::invalid_argument("HaloExchange: interior does not match block");
   }
-  if (halo_ > bh || halo_ > bw) {
-    throw std::invalid_argument("HaloExchange: halo exceeds block size");
-  }
-  if (in_flight_) {
+  if (interior_ != nullptr) {
     throw std::logic_error("HaloExchange::begin: previous exchange unfinished");
   }
   static telemetry::Counter& exchanges = telemetry::counter("halo.exchanges");
   telemetry::Span span("halo.begin", "comm");
   exchanges.add(1);
-  bytes_before_ = cart_.comm().bytes_sent();
-  util::WallTimer begin_timer;
+  util::WallTimer timer;
+  bytes_sent_ = 0;
+  interior_ = &interior;
+  const auto bh = interior.dim(1);
+  const auto bw = interior.dim(2);
 
   for (const mpi::Direction side : mpi::kAllDirections) drain_stale(side);
 
   // Phase-1 sends: the bare interior's west/east strips leave as soon as the
-  // step's output exists (buffered — the mailbox copy completes them).
-  if (live(mpi::Direction::kWest)) {
+  // step's output exists (buffered — the mailbox copy completes them). A
+  // co-resident neighbour copies them itself in its finish_x().
+  using mpi::Direction;
+  if (live(Direction::kWest) && local_peer(Direction::kWest) == nullptr) {
     pack_region_into(interior, 0, bh, 0, halo_, send_strip_);
-    timed_send(mpi::Direction::kWest, send_strip_, comm_time);
+    send_strip(Direction::kWest, comm_time);
   }
-  if (live(mpi::Direction::kEast)) {
+  if (live(Direction::kEast) && local_peer(Direction::kEast) == nullptr) {
     pack_region_into(interior, 0, bh, bw - halo_, halo_, send_strip_);
-    timed_send(mpi::Direction::kEast, send_strip_, comm_time);
+    send_strip(Direction::kEast, comm_time);
   }
-  begin_seconds_ = begin_timer.seconds();
-  in_flight_ = true;
+  seconds_ = timer.seconds();
 }
 
-void HaloExchange::finish(const Tensor& interior, Tensor& padded,
-                          util::AccumulatingTimer* comm_time) {
-  if (!in_flight_) {
-    throw std::logic_error("HaloExchange::finish without begin");
+void HaloExchange::finish_x(util::AccumulatingTimer* comm_time) {
+  if (interior_ == nullptr) {
+    throw std::logic_error("HaloExchange::finish_x without begin");
   }
-  in_flight_ = false;
-  static telemetry::Counter& halo_bytes = telemetry::counter("halo.bytes_sent");
-  static telemetry::Histogram& latency =
-      telemetry::histogram("halo.exchange_seconds");
+  using mpi::Direction;
   telemetry::Span span("halo.finish", "comm");
-  util::WallTimer finish_timer;
-
+  util::WallTimer timer;
+  const Tensor& interior = *interior_;
   const auto c = interior.dim(0);
   const auto bh = interior.dim(1);
   const auto bw = interior.dim(2);
@@ -318,67 +370,102 @@ void HaloExchange::finish(const Tensor& interior, Tensor& padded,
   // Phase 1 completes: west/east strips land in the x-extended staging
   // tensor. The side bands are re-zeroed every step because the buffer is
   // persistent and a degraded (or physical) border must stay zero.
-  if (ext_x_.ndim() != 3 || ext_x_.dim(0) != c || ext_x_.dim(1) != bh ||
-      ext_x_.dim(2) != bw + 2 * halo_) {
-    ext_x_ = Tensor({c, bh, bw + 2 * halo_});
-  }
-  copy_window(ext_x_, 0, halo_, interior);
+  growths_ += ensure_shape(ext_x_, c, bh, bw + 2 * halo_);
+  copy_region(ext_x_, 0, halo_, interior, 0, 0, bh, bw);
   zero_region(ext_x_, 0, bh, 0, halo_);
   zero_region(ext_x_, 0, bh, halo_ + bw, halo_);
   // Health monitor: gauge the seam mismatch of each received strip (innermost
   // halo line vs the adjacent interior line). Only with a BorderHealth to
   // record into — callers without a degradation story skip the probes.
-  static telemetry::Gauge& seam_gauge =
-      telemetry::gauge("halo.interface_residual");
   const bool probe = health_ != nullptr && options_.probe_residuals;
-  const auto observe_seam = [this](double r) {
-    health_->observe_residual(r);
-    seam_gauge.set(r);
-  };
-  if (live(mpi::Direction::kEast) &&
-      robust_recv(mpi::Direction::kEast, comm_time)) {
-    // East neighbour's west strip travelled west into our east halo.
-    unpack_region(ext_x_, 0, bh, halo_ + bw, halo_, recv_strip_);
-    if (probe) observe_seam(col_residual(ext_x_, halo_ + bw, halo_ + bw - 1));
-  }
-  if (live(mpi::Direction::kWest) &&
-      robust_recv(mpi::Direction::kWest, comm_time)) {
-    unpack_region(ext_x_, 0, bh, 0, halo_, recv_strip_);
-    if (probe) observe_seam(col_residual(ext_x_, halo_ - 1, halo_));
-  }
-
-  // Phase 2: exchange south/north strips of the x-extended tensor, so the
-  // diagonal corners arrive via the row neighbours.
-  if (padded.ndim() != 3 || padded.dim(0) != c ||
-      padded.dim(1) != bh + 2 * halo_ || padded.dim(2) != bw + 2 * halo_) {
-    padded = Tensor({c, bh + 2 * halo_, bw + 2 * halo_});
-  }
-  copy_window(padded, halo_, 0, ext_x_);
-  zero_region(padded, 0, halo_, 0, bw + 2 * halo_);
-  zero_region(padded, halo_ + bh, halo_, 0, bw + 2 * halo_);
-
-  if (live(mpi::Direction::kSouth)) {
-    pack_region_into(ext_x_, 0, halo_, 0, bw + 2 * halo_, send_strip_);
-    timed_send(mpi::Direction::kSouth, send_strip_, comm_time);
-  }
-  if (live(mpi::Direction::kNorth)) {
-    pack_region_into(ext_x_, bh - halo_, halo_, 0, bw + 2 * halo_, send_strip_);
-    timed_send(mpi::Direction::kNorth, send_strip_, comm_time);
-  }
-  if (live(mpi::Direction::kNorth) &&
-      robust_recv(mpi::Direction::kNorth, comm_time)) {
-    unpack_region(padded, halo_ + bh, halo_, 0, bw + 2 * halo_, recv_strip_);
+  for (const Direction side : {Direction::kEast, Direction::kWest}) {
+    if (!live(side)) continue;
+    // Our east halo is the east neighbour's west strip, and vice versa.
+    const std::int64_t x0 = side == Direction::kEast ? halo_ + bw : 0;
+    if (const HaloExchange* peer = local_peer(side)) {
+      if (peer->interior_ == nullptr) {
+        throw std::logic_error("HaloExchange::finish_x: co-resident "
+                               "neighbour has not begun");
+      }
+      const Tensor& nb = *peer->interior_;
+      copy_region(ext_x_, 0, x0, nb, 0,
+                  side == Direction::kEast ? 0 : nb.dim(2) - halo_, bh, halo_);
+    } else if (robust_recv(side, comm_time)) {
+      unpack_region(ext_x_, 0, bh, x0, halo_, recv_strip_);
+    } else {
+      continue;
+    }
     if (probe) {
-      observe_seam(row_residual(padded, halo_ + bh, halo_ + bh - 1, halo_, bw));
+      observe_seam(side == Direction::kEast
+                       ? col_residual(ext_x_, halo_ + bw, halo_ + bw - 1)
+                       : col_residual(ext_x_, halo_ - 1, halo_));
     }
   }
-  if (live(mpi::Direction::kSouth) &&
-      robust_recv(mpi::Direction::kSouth, comm_time)) {
-    unpack_region(padded, 0, halo_, 0, bw + 2 * halo_, recv_strip_);
-    if (probe) observe_seam(row_residual(padded, halo_ - 1, halo_, halo_, bw));
+
+  // Phase-2 sends: south/north strips of the x-extended tensor, so the
+  // diagonal corners arrive via the row neighbours.
+  if (live(Direction::kSouth) && local_peer(Direction::kSouth) == nullptr) {
+    pack_region_into(ext_x_, 0, halo_, 0, bw + 2 * halo_, send_strip_);
+    send_strip(Direction::kSouth, comm_time);
   }
-  halo_bytes.add(cart_.comm().bytes_sent() - bytes_before_);
-  latency.observe(begin_seconds_ + finish_timer.seconds());
+  if (live(Direction::kNorth) && local_peer(Direction::kNorth) == nullptr) {
+    pack_region_into(ext_x_, bh - halo_, halo_, 0, bw + 2 * halo_,
+                     send_strip_);
+    send_strip(Direction::kNorth, comm_time);
+  }
+  seconds_ += timer.seconds();
+}
+
+void HaloExchange::finish_y(Tensor& padded,
+                            util::AccumulatingTimer* comm_time) {
+  if (interior_ == nullptr || ext_x_.ndim() != 3) {
+    throw std::logic_error("HaloExchange::finish_y without finish_x");
+  }
+  using mpi::Direction;
+  static telemetry::Counter& halo_bytes = telemetry::counter("halo.bytes_sent");
+  static telemetry::Histogram& latency =
+      telemetry::histogram("halo.exchange_seconds");
+  static telemetry::Gauge& seam_gauge =
+      telemetry::gauge("halo.interface_residual");
+  telemetry::Span span("halo.finish", "comm");
+  util::WallTimer timer;
+  const auto c = ext_x_.dim(0);
+  const auto bh = ext_x_.dim(1);
+  const auto bw = ext_x_.dim(2) - 2 * halo_;
+  const auto pw = bw + 2 * halo_;
+
+  growths_ += ensure_shape(padded, c, bh + 2 * halo_, pw);
+  copy_region(padded, halo_, 0, ext_x_, 0, 0, bh, pw);
+  zero_region(padded, 0, halo_, 0, pw);
+  zero_region(padded, halo_ + bh, halo_, 0, pw);
+  const bool probe = health_ != nullptr && options_.probe_residuals;
+  for (const Direction side : {Direction::kNorth, Direction::kSouth}) {
+    if (!live(side)) continue;
+    // Our north halo is the north neighbour's south strip, and vice versa.
+    const std::int64_t y0 = side == Direction::kNorth ? halo_ + bh : 0;
+    if (const HaloExchange* peer = local_peer(side)) {
+      const Tensor& nb = peer->ext_x_;
+      copy_region(padded, y0, 0, nb,
+                  side == Direction::kNorth ? 0 : nb.dim(1) - halo_, 0, halo_,
+                  pw);
+    } else if (robust_recv(side, comm_time)) {
+      unpack_region(padded, y0, halo_, 0, pw, recv_strip_);
+    } else {
+      continue;
+    }
+    if (probe) {
+      observe_seam(
+          side == Direction::kNorth
+              ? row_residual(padded, halo_ + bh, halo_ + bh - 1, halo_, bw)
+              : row_residual(padded, halo_ - 1, halo_, halo_, bw));
+    }
+  }
+  // One shared-gauge write per exchange, not per strip: the rank threads
+  // all write this cache line.
+  if (probe) seam_gauge.set(last_residual_);
+  interior_ = nullptr;
+  halo_bytes.add(bytes_sent_);
+  latency.observe(seconds_ + timer.seconds());
 }
 
 Tensor exchange_halo(mpi::CartComm& cart, const Partition& partition,
@@ -400,66 +487,29 @@ Tensor exchange_halo(mpi::CartComm& cart, const Partition& partition,
   HaloExchange exchange(cart, partition, halo, options, health);
   Tensor padded;
   exchange.begin(interior, comm_time);
-  exchange.finish(interior, padded, comm_time);
+  exchange.finish(padded, comm_time);
   return padded;
 }
 
 Tensor gather_field(mpi::CartComm& cart, const Partition& partition,
                     const Tensor& interior) {
-  gather_field_send(cart, interior);
-  Tensor full;
-  gather_field_collect(cart, partition, interior, full);
-  return full;
-}
-
-void gather_field_send(mpi::CartComm& cart, const Tensor& interior) {
   mpi::Communicator& comm = cart.comm();
-  if (comm.rank() == 0) return;
-  comm.send<float>(0, mpi::tags::kFieldGather.base, interior.values());
-}
-
-void gather_field_collect(mpi::CartComm& cart, const Partition& partition,
-                          const Tensor& root_interior, Tensor& full) {
-  mpi::Communicator& comm = cart.comm();
-  if (comm.rank() != 0) return;
-  const auto c = root_interior.dim(0);
-  if (full.ndim() != 3 || full.dim(0) != c ||
-      full.dim(1) != partition.grid_h() || full.dim(2) != partition.grid_w()) {
-    full = Tensor({c, partition.grid_h(), partition.grid_w()});
+  if (comm.rank() != 0) {
+    comm.send<float>(0, mpi::tags::kFieldGather.base, interior.values());
+    return {};
   }
-  // Rank 0's own block.
-  {
-    const BlockRange block = partition.block_of_rank(0);
-    float* base = full.data();
-    const float* src = root_interior.data();
-    for (std::int64_t ic = 0; ic < c; ++ic) {
-      for (std::int64_t y = 0; y < block.height(); ++y) {
-        float* dst = base + (ic * partition.grid_h() + block.h0 + y) *
-                                partition.grid_w() +
-                     block.w0;
-        std::copy(src, src + block.width(), dst);
-        src += block.width();
-      }
-    }
-  }
+  const auto c = interior.dim(0);
+  Tensor full({c, partition.grid_h(), partition.grid_w()});
+  const BlockRange root = partition.block_of_rank(0);
+  unpack_region(full, root.h0, root.height(), root.w0, root.width(),
+                interior.values());
   for (int r = 1; r < comm.size(); ++r) {
     const auto strip = comm.recv<float>(r, mpi::tags::kFieldGather.base);
     const BlockRange block = partition.block_of_rank(r);
-    if (strip.size() !=
-        static_cast<std::size_t>(c * block.height() * block.width())) {
-      throw std::runtime_error("gather_field: block size mismatch");
-    }
-    const float* src = strip.data();
-    for (std::int64_t ic = 0; ic < c; ++ic) {
-      for (std::int64_t y = 0; y < block.height(); ++y) {
-        float* dst = full.data() + (ic * partition.grid_h() + block.h0 + y) *
-                                       partition.grid_w() +
-                     block.w0;
-        std::copy(src, src + block.width(), dst);
-        src += block.width();
-      }
-    }
+    unpack_region(full, block.h0, block.height(), block.w0, block.width(),
+                  strip);
   }
+  return full;
 }
 
 Tensor scatter_field(mpi::CartComm& cart, const Partition& partition,

@@ -16,12 +16,18 @@
 
 #include <array>
 #include <chrono>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "domain/partition.hpp"
 #include "minimpi/cart.hpp"
 #include "tensor/tensor.hpp"
 #include "util/timer.hpp"
+
+namespace parpde::elastic {
+class Assignment;
+}  // namespace parpde::elastic
 
 namespace parpde::domain {
 
@@ -47,9 +53,9 @@ struct HaloOptions {
   bool probe_residuals = true;
 };
 
-// Sticky per-border degradation state of one rank, carried across rollout
-// steps. A degraded border is never sent to or received from again; its halo
-// strip stays zero (the paper's zero-padding treatment).
+// Sticky per-border degradation state of one subdomain task, carried across
+// rollout steps. A degraded border is never sent to or received from again;
+// its halo strip stays zero (the paper's zero-padding treatment).
 class BorderHealth {
  public:
   [[nodiscard]] bool degraded(mpi::Direction d) const {
@@ -72,9 +78,10 @@ class BorderHealth {
   // Compact label of the degraded borders, e.g. "E,N" ("" when healthy).
   [[nodiscard]] std::string describe() const;
 
-  // Recovery hook (elastic runtime only): after the failed neighbour's tasks
-  // have been adopted and their halo channels re-pointed, the degradation is
-  // no longer sticky — the border is healthy again. Residual history is kept.
+  // Recovery hook (ElasticOptions::enabled only): after the failed
+  // neighbour's tasks have been adopted and their halo channels re-pointed,
+  // the degradation is no longer sticky — the border is healthy again.
+  // Residual history is kept.
   void reset() { degraded_ = {}; }
 
   // Health-monitor hook: records the interface residual of one received
@@ -91,70 +98,100 @@ class BorderHealth {
   double max_residual_ = 0.0;
 };
 
-// Split halo exchange with persistent staging buffers, the building block of
-// the overlapped rollout engine (docs/performance.md):
+// Halo exchange of one subdomain *task* with persistent staging buffers, the
+// strip path of parallel_rollout (core/inference.hpp). Task t is the
+// partition block (t % px, t / px); a rank may host several tasks, so every
+// strip is addressed to its destination task (tags::halo_tag) and routed to
+// the rank that owns it. The exchange runs in three calls, so that every
+// task a rank hosts can post before any of them waits:
 //
-//   HaloExchange hx(cart, partition, halo, options, &health);
-//   for (step ...) {
-//     hx.begin(interior);            // posts W/E border strips (buffered
-//                                    //  sends — returns immediately)
-//     ... compute on the interior while the strips are in flight ...
-//     hx.finish(interior, padded);   // bounded receives + S/N corner phase
-//   }
+//   for (task : hosted) hx[task].begin(interior[task]);    // W/E sends
+//   for (task : hosted) hx[task].finish_x();               // W/E receives,
+//                                                          //  S/N sends
+//   for (task : hosted) hx[task].finish_y(padded[task]);   // S/N receives
 //
-// begin() posts this rank's west/east strips the moment the step's interior
-// exists; finish() completes the two-phase exchange (receive W/E, then
-// send/receive the x-extended S/N strips so diagonal corners are correct)
-// and writes the [C, bh + 2 halo, bw + 2 halo] result into `padded` (resized
-// on first use, reused afterwards — the steady state allocates nothing
-// beyond the minimpi mailbox copies). The message sequence per neighbour
-// channel is identical to the serialized exchange_halo below, so seeded
-// fault injection draws the same faults on either path and degradation
-// outcomes are bit-reproducible across engines.
+// begin() posts the interior's west/east strips (buffered sends — returns
+// immediately); finish_x() receives them into the x-extended staging and
+// posts its south/north strips, so diagonal corners travel via the row
+// neighbours; finish_y() receives those and writes the
+// [C, bh + 2 halo, bw + 2 halo] result into `padded` (resized on first use,
+// reused afterwards — the steady state allocates nothing beyond the minimpi
+// mailbox copies). A neighbour task hosted on the same rank is served by a
+// direct copy out of its exchange instead of a message.
 //
-// Receive semantics match exchange_halo: bounded by `options`, CRC-checked,
-// degrading the border into `health` (or throwing when health is null).
-// begin()/finish() must alternate; the referenced cart/partition/health must
-// outlive the object.
+// Receives are bounded by `options` with exponential backoff and CRC-checked.
+// A border whose neighbour is definitively lost degrades into `health` (or
+// throws when health is null): sticky, never sent to or received from again,
+// its halo left zero. The referenced communicator, partition, owner map and
+// health must outlive the object.
 class HaloExchange {
  public:
+  // Task form. `owners` maps every task to its rank and is read on every
+  // call, so a rebalance re-points the channels; `peers[t]` is task t's
+  // exchange on this rank and must be set for every task the rank hosts.
+  HaloExchange(mpi::Communicator& comm, const Partition& partition, int task,
+               const elastic::Assignment& owners,
+               const std::vector<HaloExchange*>& peers, std::int64_t halo,
+               const HaloOptions& options = {}, BorderHealth* health = nullptr);
+  // One task per rank: this rank's block of the cart grid, task == rank.
   HaloExchange(mpi::CartComm& cart, const Partition& partition,
                std::int64_t halo, const HaloOptions& options = {},
                BorderHealth* health = nullptr);
 
-  // Posts the west/east strips of `interior` ([C, bh, bw]) to the live
-  // neighbours. Wall time spent sending accumulates into `comm_time`.
+  // Posts the west/east strips of `interior` ([C, bh, bw]), which must stay
+  // alive and unchanged until finish_y(). Wall time spent in sends and
+  // receives accumulates into `comm_time` in all three calls.
   void begin(const Tensor& interior,
              util::AccumulatingTimer* comm_time = nullptr);
-
-  // Completes the exchange begun with the same `interior` and assembles the
-  // halo-padded tensor into `padded`. Wall time spent in receives/sends
-  // accumulates into `comm_time` (the overlapped engine's "wait" share).
-  void finish(const Tensor& interior, Tensor& padded,
-              util::AccumulatingTimer* comm_time = nullptr);
+  // Receives the west/east strips and posts the south/north ones. Every
+  // co-resident neighbour must have called begin() first.
+  void finish_x(util::AccumulatingTimer* comm_time = nullptr);
+  // Receives the south/north strips and assembles the padded input. Every
+  // co-resident neighbour must have called finish_x() first.
+  void finish_y(Tensor& padded, util::AccumulatingTimer* comm_time = nullptr);
+  // finish_x() then finish_y(): the whole exchange of a rank hosting one task.
+  void finish(Tensor& padded, util::AccumulatingTimer* comm_time = nullptr) {
+    finish_x(comm_time);
+    finish_y(padded, comm_time);
+  }
 
   [[nodiscard]] std::int64_t halo() const noexcept { return halo_; }
+  // Staging allocations so far (ext_x and the caller's padded tensor); flat
+  // after the first exchange in the steady state.
+  [[nodiscard]] std::uint64_t growth_events() const noexcept { return growths_; }
 
  private:
-  void timed_send(mpi::Direction side, const std::vector<float>& strip,
-                  util::AccumulatingTimer* comm_time);
+  // Neighbour task across `side`, or -1 at the physical boundary.
+  [[nodiscard]] int neighbor(mpi::Direction side) const;
+  [[nodiscard]] int owner(int task) const;
+  // The neighbour's exchange when it is hosted on this rank, else null.
+  [[nodiscard]] const HaloExchange* local_peer(mpi::Direction side) const;
+  void send_strip(mpi::Direction side, util::AccumulatingTimer* comm_time);
   bool robust_recv(mpi::Direction side, util::AccumulatingTimer* comm_time);
   void drain_stale(mpi::Direction side);
   void degrade(mpi::Direction side, const std::string& why);
   [[nodiscard]] bool live(mpi::Direction side) const;
+  // Health-monitor probe of one received strip's seam mismatch.
+  void observe_seam(double residual);
 
-  mpi::CartComm& cart_;
+  mpi::Communicator& comm_;
   const Partition& partition_;
+  int task_;
+  const elastic::Assignment* owners_;        // null: task == rank
+  const std::vector<HaloExchange*>* peers_;  // null: no co-resident tasks
+  BlockRange block_;
   std::int64_t halo_;
   HaloOptions options_;
   BorderHealth* health_;
 
-  Tensor ext_x_;                   // [C, bh, bw + 2 halo] phase-1 staging
-  std::vector<float> send_strip_;  // packed outgoing strip (reused)
-  std::vector<float> recv_strip_;  // packed incoming strip (reused)
-  std::uint64_t bytes_before_ = 0;
-  double begin_seconds_ = 0.0;
-  bool in_flight_ = false;
+  const Tensor* interior_ = nullptr;  // set by begin(), cleared by finish_y()
+  Tensor ext_x_;                      // [C, bh, bw + 2 halo] phase-1 staging
+  std::vector<float> send_strip_;     // packed outgoing strip (reused)
+  std::vector<float> recv_strip_;     // packed incoming strip (reused)
+  std::uint64_t bytes_sent_ = 0;      // strip payload bytes of this exchange
+  double seconds_ = 0.0;              // wall time of this exchange so far
+  std::uint64_t growths_ = 0;
+  double last_residual_ = 0.0;  // newest seam probe, for the shared gauge
 };
 
 // Surrounds this rank's interior [C, bh, bw] with a halo of width `halo`
@@ -163,13 +200,12 @@ class HaloExchange {
 // [C, bh + 2 halo, bw + 2 halo]. If `comm_time` is non-null, the wall time
 // spent in sends/receives is accumulated into it.
 //
-// Serialized convenience wrapper over HaloExchange::begin + finish; receives
-// are bounded by `options`. When a border's retry budget is exhausted (or
-// its strip arrives CRC-corrupt), the border is degraded: with `health`
-// non-null the degradation is recorded there and the exchange continues with
-// a zero halo on that side; with `health` null (callers that have no
-// degradation story, e.g. benchmarks) the exchange throws instead — either
-// way it never hangs.
+// One-shot wrapper over HaloExchange; receives are bounded by `options`.
+// When a border's retry budget is exhausted (or its strip arrives
+// CRC-corrupt), the border is degraded: with `health` non-null the
+// degradation is recorded there and the exchange continues with a zero halo
+// on that side; with `health` null (callers that have no degradation story,
+// e.g. benchmarks) the exchange throws instead — either way it never hangs.
 Tensor exchange_halo(mpi::CartComm& cart, const Partition& partition,
                      const Tensor& interior, std::int64_t halo,
                      util::AccumulatingTimer* comm_time = nullptr,
@@ -180,20 +216,6 @@ Tensor exchange_halo(mpi::CartComm& cart, const Partition& partition,
 // (other ranks get an empty tensor).
 Tensor gather_field(mpi::CartComm& cart, const Partition& partition,
                     const Tensor& interior);
-
-// Split gather for the deferred/double-buffered recording path: non-root
-// ranks post their interior toward rank 0 (buffered send — returns
-// immediately) and move on to the next step; rank 0 stages a copy of its own
-// interior and collects the posted blocks later. Per-channel FIFO ordering of
-// the mailbox keeps successive deferred gathers matched in step order.
-void gather_field_send(mpi::CartComm& cart, const Tensor& interior);
-
-// Rank 0 only (no-op elsewhere): receives every non-root block posted by the
-// matching gather_field_send round and assembles the full field into `full`
-// (resized on first use, reused afterwards). `root_interior` supplies rank
-// 0's own block, typically the copy staged when the round was posted.
-void gather_field_collect(mpi::CartComm& cart, const Partition& partition,
-                          const Tensor& root_interior, Tensor& full);
 
 // Rank 0 distributes a full [C, H, W] field; every rank returns its interior
 // block [C, bh, bw]. On non-root ranks `full` is ignored.

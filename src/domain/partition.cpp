@@ -45,6 +45,19 @@ BlockRange Partition::block_of_rank(int rank) const {
   return block(rank % px_, rank / px_);
 }
 
+int Partition::neighbor(int index, mpi::Direction d) const noexcept {
+  int cx = index % px_;
+  int cy = index / px_;
+  switch (d) {
+    case mpi::Direction::kWest: --cx; break;
+    case mpi::Direction::kEast: ++cx; break;
+    case mpi::Direction::kSouth: --cy; break;
+    case mpi::Direction::kNorth: ++cy; break;
+  }
+  if (cx < 0 || cx >= px_ || cy < 0 || cy >= py_) return -1;
+  return cy * px_ + cx;
+}
+
 std::int64_t receptive_halo(int layers, std::int64_t kernel) {
   if (layers <= 0 || kernel <= 0 || kernel % 2 == 0) {
     throw std::invalid_argument("receptive_halo: need odd kernel, layers > 0");

@@ -43,6 +43,10 @@ class Partition {
   // Block owned by a linear rank (rank = cy * px + cx, matching CartComm).
   [[nodiscard]] BlockRange block_of_rank(int rank) const;
 
+  // Linear index of the block next to block `index` in direction `d`, or -1
+  // at the physical boundary (the block-grid analogue of CartComm::neighbor).
+  [[nodiscard]] int neighbor(int index, mpi::Direction d) const noexcept;
+
  private:
   // Start offset of chunk `c` when splitting `total` into `parts`.
   [[nodiscard]] static std::int64_t chunk_start(std::int64_t total, int parts,

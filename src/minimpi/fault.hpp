@@ -20,17 +20,17 @@
 //
 // PARPDE_FAULT grammar (segments separated by ';'):
 //   seed=N                          RNG seed for probability draws
-//   drop:tag=4096-4099,src=1,dst=0,prob=0.5,max=3
-//   delay:tag=4096,ms=50
+//   drop:tag=20480-21503,src=1,dst=0,prob=0.5,max=3
+//   delay:tag=20480,ms=50
 //   dup:tag=4200
-//   corrupt:tag=4096,prob=0.25
+//   corrupt:tag=20480,prob=0.25
 //   kill:rank=2,epoch=1             cooperative kill at an epoch boundary
 //   kill:rank=2,step=5              cooperative kill at a rollout step boundary
 //   kill:rank=2,sends=10            kill after the rank's 10th send
 // Omitted selectors match anything; `tag` accepts "A" or "A-B" (inclusive).
 //
 // Example:
-//   PARPDE_FAULT="seed=7;drop:tag=4096-4099,prob=0.3;kill:rank=1,epoch=2"
+//   PARPDE_FAULT="seed=7;drop:tag=20480-21503,prob=0.3;kill:rank=1,epoch=2"
 
 #include <cstdint>
 #include <span>

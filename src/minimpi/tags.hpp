@@ -32,11 +32,17 @@ struct TagRange {
 
 // --- the registry -----------------------------------------------------------
 //
-// Halo traffic encodes the payload's direction of travel (cart.hpp Direction,
-// 4 values) as an offset into the block.
+// Rollouts over-decompose the grid into up to kMaxTasks subdomain *tasks*
+// hosted on fewer ranks, so halo and gather tags name the task a message is
+// addressed to or comes from, not just the direction.
+inline constexpr int kMaxTasks = 256;
 
-// domain/exchange.cpp: inference-time halo exchange between subdomains.
-inline constexpr TagRange kHalo{4096, 4, "domain.halo"};
+// domain/exchange.cpp: halo strips between subdomain tasks; the offset is
+// 4 * destination task + direction of travel (cart.hpp Direction).
+inline constexpr TagRange kHalo{20480, 4 * kMaxTasks, "domain.halo"};
+// core/inference.cpp: one recorded rollout frame block per source task,
+// gathered to rank 0.
+inline constexpr TagRange kTaskGather{21504, kMaxTasks, "domain.task_gather"};
 // domain/exchange.cpp: full-field gather to rank 0 (validation / I/O).
 inline constexpr TagRange kFieldGather{4200, 1, "domain.field_gather"};
 // domain/exchange.cpp: full-field scatter from rank 0.
@@ -50,18 +56,18 @@ inline constexpr TagRange kClockSync{4300, 2, "mpi.clocksync"};
 // minimpi/collectives.hpp: reserved block so collective traffic can never
 // match user point-to-point traffic.
 inline constexpr TagRange kCollectives{1 << 20, 8, "mpi.collectives"};
-// elastic/rollout.cpp: heartbeat + per-task halo/gather traffic for the
-// elastic runtime (sub-layout below).
-inline constexpr TagRange kElastic{16384, 2048, "elastic"};
+// core/inference.cpp: the recovery-mode heartbeat (lease renewal) that
+// detects rank deaths during a rollout.
+inline constexpr TagRange kElastic{16384, 1, "elastic"};
 // serve/surrogate_server.cpp: the coalescing scheduler routes each batch
 // dispatch through fault::on_send under this tag, so PARPDE_FAULT delay
 // rules (and fault::install in tests) can slow the server deterministically
 // — there is no actual message traffic on this range.
 inline constexpr TagRange kServe{4400, 1, "serve.dispatch"};
 
-inline constexpr std::array<TagRange, 8> kAllRanges{
-    kHalo,      kFieldGather, kFieldScatter, kEulerHalo,
-    kClockSync, kCollectives, kElastic,      kServe};
+inline constexpr std::array<TagRange, 9> kAllRanges{
+    kHalo,     kTaskGather,  kFieldGather, kFieldScatter, kEulerHalo,
+    kClockSync, kCollectives, kElastic,    kServe};
 
 // --- compile-time overlap detection -----------------------------------------
 
@@ -93,28 +99,21 @@ inline constexpr int kTagSendrecv = kCollectives.base + 7;
 static_assert(kTagSendrecv == kCollectives.last(),
               "collective tags must exactly fill the kCollectives range");
 
-// --- elastic runtime sub-layout ---------------------------------------------
+// --- per-task halo, gather and heartbeat tags -------------------------------
 
-// The elastic runtime (src/elastic/) multiplexes M subdomain *tasks* over P
-// ranks, so tags must name the destination task, not just the direction.
-// Layout inside kElastic:
-//   base + 0                                  heartbeat (lease renewal)
-//   base + 1 + task * 4 + direction           halo strip addressed to `task`
-//   base + 1 + 4 * kMaxElasticTasks + task    interior gather from `task`
-inline constexpr int kMaxElasticTasks = 256;
+// Strip travelling in direction `direction` toward subdomain task `task`.
+[[nodiscard]] constexpr int halo_tag(int task, int direction) {
+  return kHalo.base + task * 4 + direction;
+}
+static_assert(halo_tag(kMaxTasks - 1, 3) == kHalo.last(),
+              "per-task halo tags must exactly fill kHalo");
+
+// Recorded frame block of subdomain task `task`, sent to rank 0.
+[[nodiscard]] constexpr int task_gather_tag(int task) {
+  return kTaskGather.base + task;
+}
 
 [[nodiscard]] constexpr int elastic_heartbeat_tag() { return kElastic.base; }
-
-[[nodiscard]] constexpr int elastic_halo_tag(int task, int direction) {
-  return kElastic.base + 1 + task * 4 + direction;
-}
-
-[[nodiscard]] constexpr int elastic_gather_tag(int task) {
-  return kElastic.base + 1 + 4 * kMaxElasticTasks + task;
-}
-
-static_assert(elastic_gather_tag(kMaxElasticTasks - 1) <= kElastic.last(),
-              "elastic sub-layout must fit inside kElastic");
 
 // --- euler solver field blocks ----------------------------------------------
 
@@ -141,7 +140,7 @@ static_assert(euler_field_base(kEulerFieldCount - 1) + kEulerFieldStride - 1 <=
   return "user";
 }
 
-// Human-readable "4097 (domain.halo+1)" for watchdog / leak reports.
+// Human-readable "20481 (domain.halo+1)" for watchdog / leak reports.
 [[nodiscard]] inline std::string describe(int tag) {
   std::string out = std::to_string(tag);
   for (const auto& r : kAllRanges) {

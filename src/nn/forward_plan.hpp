@@ -11,10 +11,9 @@
 // (verified by the counting-allocator tests in tests/test_rollout_overlap.cpp
 // and tests/test_quant_rollout.cpp).
 //
-// run() accepts any input no larger than the pre-sized maximum, which is what
-// lets the overlapped rollout engine evaluate the same plan on the bare
-// interior tile (while halo strips are in flight) and afterwards on the four
-// thin rim bands — see docs/performance.md. On the fp32 backend results are
+// run() accepts any input no larger than the pre-sized maximum, so one plan
+// serves every geometry up to the halo-padded tile it was sized for (see
+// docs/performance.md). On the fp32 backend results are
 // bit-identical to Module::forward: the convs lower to the same im2col + GEMM
 // kernels (whose per-element k-reduction order is independent of the matrix
 // width and the worker count) and the fused bias/activation epilogue applies

@@ -1,16 +1,20 @@
 // Elastic runtime unit + integration coverage (src/elastic/): the versioned
 // Assignment map and its deterministic rebalance, the PPES rollout-state
 // checkpoints, the rollback-line arithmetic, and the placement-independence
-// property the self-healing rollout rests on — an elastic rollout of an
-// M-task ensemble is bit-identical to the default engines rolling the same
-// report on M ranks, whatever P hosts the tasks. Death/recovery scenarios
-// live in test_chaos.cpp (label `chaos`).
+// property the self-healing rollout rests on — a rollout of an M-task
+// ensemble is bit-identical whatever P hosts the tasks, with recovery on or
+// off. Death/recovery scenarios live in test_chaos.cpp (label `chaos`).
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <system_error>
+#include <vector>
 
 #include "core/inference.hpp"
 #include "core/parallel_trainer.hpp"
@@ -26,10 +30,23 @@ using core::ExecutionMode;
 using core::ParallelTrainer;
 using core::TrainConfig;
 
+// Per-process names: a second test_elastic on the same machine (say, a
+// sanitizer build's) must not remove this one's files mid-test. The
+// directories are removed at exit.
 std::string fresh_dir(const std::string& stem) {
-  const auto dir = std::filesystem::path(::testing::TempDir()) / stem;
+  struct Cleanup {
+    std::vector<std::filesystem::path> dirs;
+    ~Cleanup() {
+      std::error_code ec;
+      for (const auto& d : dirs) std::filesystem::remove_all(d, ec);
+    }
+  };
+  static Cleanup cleanup;
+  const auto dir = std::filesystem::path(::testing::TempDir()) /
+                   (stem + "_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
+  cleanup.dirs.push_back(dir);
   return dir.string();
 }
 
@@ -153,10 +170,11 @@ data::FrameDataset tiny_dataset() {
   return data::FrameDataset(std::move(sim.frames));
 }
 
-TEST(ElasticRollout, MatchesDefaultEngineBitExactly) {
-  // An M-task report rolled by the elastic engine (healthy run, one task per
-  // rank) must reproduce the default overlapped engine's frames bit-for-bit
-  // — same per-task arithmetic, same two-phase strip geometry.
+TEST(ElasticRollout, RecoveryOnMatchesRecoveryOffBitExactly) {
+  // An M-task report rolled with recovery on (heartbeat barrier every step;
+  // healthy run, one task per rank) must reproduce the frames of the rollout
+  // without it bit-for-bit — same per-task arithmetic, same strips — and
+  // both must probe the seams.
   const auto ds = tiny_dataset();
   const TrainConfig cfg = tiny_config();
   const ParallelTrainer trainer(cfg, 4);
@@ -174,12 +192,16 @@ TEST(ElasticRollout, MatchesDefaultEngineBitExactly) {
   EXPECT_EQ(elastic.degraded_borders, 0);
   EXPECT_EQ(elastic.health.recoveries, 0);
   EXPECT_EQ(elastic.health.assignment_epoch, 0);
+  EXPECT_GT(oracle.health.max_interface_residual, 0.0);
+  EXPECT_EQ(elastic.health.max_interface_residual,
+            oracle.health.max_interface_residual);
 }
 
 TEST(ElasticRollout, PlacementIndependenceUnderOverDecomposition) {
   // Train 4 tasks hosted on 2 physical ranks; the weights depend only on the
-  // task id (seed stream), so the report equals a 4-rank training run and an
-  // elastic rollout on 2 ranks x 2 tasks matches the 4-rank oracle exactly.
+  // task id (seed stream), so the report equals a 4-rank training run and a
+  // rollout on 2 ranks x 2 tasks, with recovery on or off, matches the
+  // 4-rank oracle exactly.
   const auto ds = tiny_dataset();
   const TrainConfig cfg = tiny_config();
   const auto packed =
@@ -203,11 +225,16 @@ TEST(ElasticRollout, PlacementIndependenceUnderOverDecomposition) {
   opts.elastic.tasks_per_rank = 2;
   const auto elastic =
       core::parallel_rollout(cfg, packed, ds.frame(0), 3, opts);
+  opts.elastic.enabled = false;
+  const auto plain = core::parallel_rollout(cfg, packed, ds.frame(0), 3, opts);
   ASSERT_EQ(elastic.frames.size(), oracle.frames.size());
+  ASSERT_EQ(plain.frames.size(), oracle.frames.size());
   for (std::size_t k = 0; k < oracle.frames.size(); ++k) {
     parpde::testing::expect_tensors_equal(oracle.frames[k], elastic.frames[k]);
+    parpde::testing::expect_tensors_equal(oracle.frames[k], plain.frames[k]);
   }
   EXPECT_EQ(elastic.degraded_borders, 0);
+  EXPECT_EQ(plain.degraded_borders, 0);
 }
 
 TEST(ElasticRollout, RejectsInvalidConfigurations) {
@@ -218,6 +245,9 @@ TEST(ElasticRollout, RejectsInvalidConfigurations) {
   core::RolloutOptions opts;
   opts.elastic.enabled = true;
   opts.elastic.tasks_per_rank = 3;  // does not divide 4 tasks
+  EXPECT_THROW(core::parallel_rollout(cfg, report, ds.frame(0), 2, opts),
+               std::invalid_argument);
+  opts.elastic.enabled = false;
   EXPECT_THROW(core::parallel_rollout(cfg, report, ds.frame(0), 2, opts),
                std::invalid_argument);
 }

@@ -3,13 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <map>
+#include <vector>
 
 #include "core/model.hpp"
 #include "core/model_parallel_trainer.hpp"
-#include "nn/conv2d.hpp"
+#include "data/batcher.hpp"
 #include "euler/simulate.hpp"
 #include "helpers.hpp"
+#include "minimpi/collectives.hpp"
+#include "minimpi/environment.hpp"
+#include "nn/conv2d.hpp"
 
 namespace parpde::core {
 namespace {
@@ -130,6 +136,74 @@ TEST(ModelParallel, StageBoundaryLayersStillReturnInputGradient) {
   double norm = 0.0;
   for (std::int64_t i = 0; i < dx.size(); ++i) norm += std::abs(dx[i]);
   EXPECT_GT(norm, 0.0);
+}
+
+// Bytes one allreduce of `count` floats puts on the wire across `ranks`.
+std::uint64_t allreduce_bytes(std::int64_t count, int ranks) {
+  std::atomic<std::uint64_t> total{0};
+  mpi::Environment env(ranks);
+  env.run([&](mpi::Communicator& comm) {
+    comm.reset_counters();
+    std::vector<float> values(static_cast<std::size_t>(count), 1.0f);
+    mpi::allreduce<float>(comm, values, mpi::ReduceOp::kSum);
+    total += comm.bytes_sent();
+  });
+  return total.load();
+}
+
+// The trainer's first slice computes no input gradient and allreduces none:
+// nothing reads the gradient of the dataset. Its weight and bias gradients
+// do not depend on that choice, so the trained parameters are unchanged, and
+// comm_bytes is exactly one [N, C0, H, W] allreduce per batch below what the
+// trainer sent while it still reduced that gradient (the constants below;
+// byte counts depend only on message sizes, not on the machine).
+TEST(ModelParallel, FirstLayerSkipsItsInputGradientAndAllreduce) {
+  const TrainConfig base = tiny_config();
+  util::Rng rng(5);
+  nn::Conv2d with_dx(4, 3, base.network.kernel, /*pad=*/-1);
+  with_dx.init(rng);
+  nn::Conv2d without_dx(4, 3, base.network.kernel, /*pad=*/-1);
+  without_dx.weight() = with_dx.weight();
+  without_dx.bias() = with_dx.bias();
+  without_dx.set_needs_input_grad(false);
+  Tensor x({2, 4, 8, 8});
+  rng.fill_uniform(x.values(), -1.0f, 1.0f);
+  Tensor dy(with_dx.forward(x).shape());
+  (void)without_dx.forward(x);
+  rng.fill_uniform(dy.values(), -1.0f, 1.0f);
+  EXPECT_FALSE(with_dx.backward(dy).empty());
+  EXPECT_TRUE(without_dx.backward(dy).empty());
+  const auto a = with_dx.parameters();
+  const auto b = without_dx.parameters();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    parpde::testing::expect_tensors_equal(*a[i].grad, *b[i].grad);
+  }
+
+  const auto ds = tiny_dataset();
+  TrainConfig cfg = base;
+  cfg.epochs = 1;
+  const auto split = ds.chronological_split(cfg.train_fraction);
+  const domain::Partition part(16, 16, 1, 1);
+  const auto task =
+      make_subdomain_task(ds.frames(), split.train, part.block(0, 0), cfg);
+  const std::int64_t sample = task.inputs.dim(1) * task.inputs.dim(2) *
+                              task.inputs.dim(3);
+  const std::map<int, std::uint64_t> bytes_with_layer0_allreduce = {
+      {2, 215924}, {3, 406536}};
+  for (const auto& [ranks, before] : bytes_with_layer0_allreduce) {
+    SCOPED_TRACE("ranks=" + std::to_string(ranks));
+    data::Batcher batcher(task.inputs.dim(0), cfg.batch_size, cfg.seed,
+                          cfg.shuffle);
+    std::uint64_t dropped = 0;
+    for (const auto& batch : batcher.next_epoch()) {
+      dropped += allreduce_bytes(
+          static_cast<std::int64_t>(batch.size()) * sample, ranks);
+    }
+    const auto report = ModelParallelTrainer(cfg, ranks).train(ds);
+    EXPECT_GT(dropped, 0u);
+    EXPECT_EQ(report.comm_bytes, before - dropped);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Int8 quantized inference backend (ISSUE 6): a 100-step Fig. 3 rollout on
 // the quantized backend must track the fp32 reference within the documented
-// error budget, stay bit-deterministic across engines and worker counts,
+// error budget, stay bit-deterministic across placements and worker counts,
 // degrade faulted borders exactly like fp32, and keep the zero-allocation
 // steady state PR 5 established.
 
@@ -120,10 +120,11 @@ ParallelTrainReport shared_weight_report(int ranks,
 }
 
 RolloutOptions backend_options(const backend::KernelBackend* bk,
-                               RolloutEngine engine = RolloutEngine::kOverlapped) {
+                               int tasks_per_rank = 1, bool recovery = false) {
   RolloutOptions options;
-  options.engine = engine;
   options.backend = bk;
+  options.elastic.tasks_per_rank = tasks_per_rank;
+  options.elastic.enabled = recovery;
   return options;
 }
 
@@ -184,10 +185,10 @@ TEST(QuantRollout, HundredStepDivergenceWithinBudget) {
   EXPECT_GT(worst, kQuantErrorBudget * 1e-4);
 }
 
-TEST(QuantRollout, BitDeterministicAcrossEnginesAndWorkers) {
-  // Fixed calibrated scales + exact integer accumulation: the overlapped
-  // interior/rim evaluation, the serialized whole-tile evaluation, and any
-  // pool worker count must produce identical bits.
+TEST(QuantRollout, BitDeterministicAcrossPlacementsAndWorkers) {
+  // Fixed calibrated scales + exact integer accumulation: one task per rank,
+  // two tasks per rank (strips copied in place), recovery on, and any pool
+  // worker count must produce identical bits.
   const TrainConfig cfg = fig3_config();
   const std::int64_t grid = 48;
   const auto params = contractive_params(cfg);
@@ -196,22 +197,22 @@ TEST(QuantRollout, BitDeterministicAcrossEnginesAndWorkers) {
   const int steps = 6;
   const auto* int8 = &backend::quantized_int8();
 
-  const auto overlapped =
-      parallel_rollout(cfg, report, initial, steps,
-                       backend_options(int8, RolloutEngine::kOverlapped));
-  const auto serialized =
-      parallel_rollout(cfg, report, initial, steps,
-                       backend_options(int8, RolloutEngine::kSerialized));
+  const auto spread =
+      parallel_rollout(cfg, report, initial, steps, backend_options(int8));
+  const auto packed =
+      parallel_rollout(cfg, report, initial, steps, backend_options(int8, 2));
+  const auto recovering = parallel_rollout(cfg, report, initial, steps,
+                                           backend_options(int8, 1, true));
   util::ThreadPool::configure_global(3);
   const auto pooled =
-      parallel_rollout(cfg, report, initial, steps,
-                       backend_options(int8, RolloutEngine::kOverlapped));
+      parallel_rollout(cfg, report, initial, steps, backend_options(int8));
   util::ThreadPool::configure_global(0);
 
-  expect_frames_bit_identical(overlapped, serialized);
-  expect_frames_bit_identical(overlapped, pooled);
-  EXPECT_EQ(overlapped.steady_state_allocs, 0u);
-  EXPECT_EQ(serialized.steady_state_allocs, 0u);
+  expect_frames_bit_identical(spread, packed);
+  expect_frames_bit_identical(spread, recovering);
+  expect_frames_bit_identical(spread, pooled);
+  EXPECT_EQ(spread.steady_state_allocs, 0u);
+  EXPECT_EQ(packed.steady_state_allocs, 0u);
 }
 
 mpi::fault::Rule drop_halo_from(int source) {
@@ -226,7 +227,8 @@ mpi::fault::Rule drop_halo_from(int source) {
 TEST(QuantRollout, DegradedBordersMatchFp32Behavior) {
   // Message loss must trigger the identical degradation sequence on both
   // backends (same borders, same steps — the protocol is backend-blind), and
-  // the degraded int8 rollout must still be bit-identical across engines.
+  // the degraded int8 rollout must still be bit-identical with recovery on
+  // and off.
   const TrainConfig cfg = fig3_config();
   const std::int64_t grid = 48;
   const auto params = contractive_params(cfg);
@@ -234,8 +236,8 @@ TEST(QuantRollout, DegradedBordersMatchFp32Behavior) {
   const Tensor initial = random_frame(grid, 21);
   const int steps = 3;
 
-  auto degraded = [](const backend::KernelBackend* bk, RolloutEngine engine) {
-    RolloutOptions options = backend_options(bk, engine);
+  auto degraded = [](const backend::KernelBackend* bk, bool recovery) {
+    RolloutOptions options = backend_options(bk, 1, recovery);
     options.halo.recv_timeout = std::chrono::milliseconds(10);
     options.halo.max_retries = 1;
     return options;
@@ -244,22 +246,22 @@ TEST(QuantRollout, DegradedBordersMatchFp32Behavior) {
   const auto* int8 = &backend::quantized_int8();
 
   mpi::fault::install(mpi::fault::FaultPlan(7).add_rule(drop_halo_from(1)));
-  const auto ref = parallel_rollout(cfg, report, initial, steps,
-                                    degraded(fp32, RolloutEngine::kOverlapped));
+  const auto ref =
+      parallel_rollout(cfg, report, initial, steps, degraded(fp32, false));
   mpi::fault::install(mpi::fault::FaultPlan(7).add_rule(drop_halo_from(1)));
-  const auto quant_over = parallel_rollout(
-      cfg, report, initial, steps, degraded(int8, RolloutEngine::kOverlapped));
+  const auto quant_off =
+      parallel_rollout(cfg, report, initial, steps, degraded(int8, false));
   mpi::fault::install(mpi::fault::FaultPlan(7).add_rule(drop_halo_from(1)));
-  const auto quant_ser = parallel_rollout(
-      cfg, report, initial, steps, degraded(int8, RolloutEngine::kSerialized));
+  const auto quant_on =
+      parallel_rollout(cfg, report, initial, steps, degraded(int8, true));
   mpi::fault::uninstall();
 
   EXPECT_EQ(ref.degraded_borders, 2);  // rank 0, then one step later rank 1
-  EXPECT_EQ(quant_over.degraded_borders, ref.degraded_borders);
-  EXPECT_EQ(quant_over.degraded_detail, ref.degraded_detail);
-  EXPECT_EQ(quant_ser.degraded_borders, ref.degraded_borders);
-  EXPECT_EQ(quant_ser.degraded_detail, ref.degraded_detail);
-  expect_frames_bit_identical(quant_over, quant_ser);
+  EXPECT_EQ(quant_off.degraded_borders, ref.degraded_borders);
+  EXPECT_EQ(quant_off.degraded_detail, ref.degraded_detail);
+  EXPECT_EQ(quant_on.degraded_borders, ref.degraded_borders);
+  EXPECT_EQ(quant_on.degraded_detail, ref.degraded_detail);
+  expect_frames_bit_identical(quant_off, quant_on);
 }
 
 TEST(QuantRollout, DeconvModeRejectsInt8) {

@@ -1,8 +1,10 @@
-// Overlapped rollout engine (ISSUE 5): the asynchronous interior/rim pipeline
-// must be bit-identical to the serialized reference loop — healthy, under
-// injected message delay, and under message loss with degraded borders — and
-// its steady-state step must perform zero heap allocations (counting
-// allocator over the ForwardPlan, growth accounting over the engine).
+// The rollout engine: parallel_rollout must be bit-identical to the serial
+// per-block reference (SubdomainEnsemble::predict iterated step by step) and
+// to other placements of itself — tasks per rank, pool workers, recovery on
+// or off — healthy, under injected message delay, and under message loss with
+// degraded borders; and its steady-state step must perform zero heap
+// allocations (counting allocator over the ForwardPlan, growth accounting
+// over the engine).
 
 #include <gtest/gtest.h>
 
@@ -89,10 +91,27 @@ ParallelTrainReport shared_weight_report(const TrainConfig& /*cfg*/, int ranks,
   return report;
 }
 
-RolloutOptions engine_options(RolloutEngine engine) {
+RolloutOptions placement(int tasks_per_rank, bool recovery = false) {
   RolloutOptions options;
-  options.engine = engine;
+  options.elastic.tasks_per_rank = tasks_per_rank;
+  options.elastic.enabled = recovery;
   return options;
+}
+
+// The serial per-block reference: SubdomainEnsemble::predict iterated step by
+// step, as a RolloutResult recording every step.
+RolloutResult serial_reference(const TrainConfig& cfg,
+                               const ParallelTrainReport& report,
+                               const Tensor& initial, int steps) {
+  SubdomainEnsemble ensemble(cfg, report, initial.dim(1), initial.dim(2));
+  RolloutResult result;
+  Tensor frame = initial;
+  for (int s = 0; s < steps; ++s) {
+    frame = ensemble.predict(frame);
+    result.frames.push_back(frame);
+    result.recorded_steps.push_back(s);
+  }
+  return result;
 }
 
 void expect_frames_bit_identical(const RolloutResult& a,
@@ -104,7 +123,7 @@ void expect_frames_bit_identical(const RolloutResult& a,
   }
 }
 
-TEST(RolloutOverlap, BitIdenticalToSerializedHaloPad) {
+TEST(RolloutOverlap, BitIdenticalToSerialReferenceHaloPad) {
   const TrainConfig cfg = small_config(BorderMode::kHaloPad);
   const std::int64_t grid = 16;
   NetworkTrainer reference(cfg, 0);
@@ -113,20 +132,22 @@ TEST(RolloutOverlap, BitIdenticalToSerializedHaloPad) {
   const Tensor initial = random_frame(grid, 42);
   const int steps = 4;
 
-  const auto serialized = parallel_rollout(
-      cfg, report, initial, steps, engine_options(RolloutEngine::kSerialized));
-  const auto overlapped = parallel_rollout(
-      cfg, report, initial, steps, engine_options(RolloutEngine::kOverlapped));
+  const auto serial = serial_reference(cfg, report, initial, steps);
+  const auto rollout = parallel_rollout(cfg, report, initial, steps, placement(1));
+  const auto recovering =
+      parallel_rollout(cfg, report, initial, steps, placement(1, true));
 
-  expect_frames_bit_identical(serialized, overlapped);
-  EXPECT_EQ(serialized.halo_bytes, overlapped.halo_bytes);
-  EXPECT_EQ(overlapped.degraded_borders, 0);
-  EXPECT_EQ(overlapped.steady_state_allocs, 0u);
-  EXPECT_GE(overlapped.overlap_seconds, 0.0);
-  ASSERT_EQ(overlapped.step_seconds.size(), static_cast<std::size_t>(steps));
+  expect_frames_bit_identical(serial, rollout);
+  expect_frames_bit_identical(serial, recovering);
+  EXPECT_EQ(rollout.halo_bytes, recovering.halo_bytes);
+  EXPECT_GT(rollout.halo_bytes, 0u);
+  EXPECT_EQ(rollout.degraded_borders, 0);
+  EXPECT_EQ(rollout.steady_state_allocs, 0u);
+  EXPECT_EQ(rollout.overlap_seconds, 0.0);
+  ASSERT_EQ(rollout.step_seconds.size(), static_cast<std::size_t>(steps));
 }
 
-TEST(RolloutOverlap, BitIdenticalToSerializedZeroPad) {
+TEST(RolloutOverlap, BitIdenticalToSerialReferenceZeroPad) {
   const TrainConfig cfg = small_config(BorderMode::kZeroPad);
   const std::int64_t grid = 16;
   NetworkTrainer reference(cfg, 0);
@@ -134,19 +155,18 @@ TEST(RolloutOverlap, BitIdenticalToSerializedZeroPad) {
   const auto report = shared_weight_report(cfg, 4, params, grid);
   const Tensor initial = random_frame(grid, 7);
 
-  const auto serialized = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kSerialized));
-  const auto overlapped = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kOverlapped));
+  const auto serial = serial_reference(cfg, report, initial, 3);
+  const auto rollout = parallel_rollout(cfg, report, initial, 3, placement(1));
 
-  expect_frames_bit_identical(serialized, overlapped);
-  EXPECT_EQ(overlapped.halo_bytes, 0u);  // zero-pad is communication-free
-  EXPECT_EQ(overlapped.steady_state_allocs, 0u);
+  expect_frames_bit_identical(serial, rollout);
+  EXPECT_EQ(rollout.halo_bytes, 0u);  // zero-pad is communication-free
+  EXPECT_EQ(rollout.steady_state_allocs, 0u);
 }
 
-TEST(RolloutOverlap, BitIdenticalWithPoolWorkers) {
-  // The interior/rim split fans out over the intra-rank pool; the values must
-  // not depend on the worker count (the k-reduction never splits).
+TEST(RolloutOverlap, BitIdenticalWithPoolWorkersAndTasksPerRank) {
+  // The forward fans out over the intra-rank pool and a rank may host
+  // several tasks (strips between them copied in place); the values must
+  // depend on neither (the k-reduction never splits).
   const TrainConfig cfg = small_config(BorderMode::kHaloPad);
   const std::int64_t grid = 24;
   NetworkTrainer reference(cfg, 0);
@@ -154,17 +174,20 @@ TEST(RolloutOverlap, BitIdenticalWithPoolWorkers) {
   const auto report = shared_weight_report(cfg, 9, params, grid);
   const Tensor initial = random_frame(grid, 11);
 
-  const auto inline_run = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kOverlapped));
+  const auto inline_run = parallel_rollout(cfg, report, initial, 3, placement(1));
   util::ThreadPool::configure_global(3);
-  const auto pooled = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kOverlapped));
-  const auto serialized = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kSerialized));
+  const auto pooled = parallel_rollout(cfg, report, initial, 3, placement(1));
+  const auto packed = parallel_rollout(cfg, report, initial, 3, placement(3));
+  const auto single = parallel_rollout(cfg, report, initial, 3, placement(9));
   util::ThreadPool::configure_global(0);
+  const auto serial = serial_reference(cfg, report, initial, 3);
 
   expect_frames_bit_identical(inline_run, pooled);
-  expect_frames_bit_identical(pooled, serialized);
+  expect_frames_bit_identical(pooled, serial);
+  expect_frames_bit_identical(packed, serial);
+  expect_frames_bit_identical(single, serial);
+  EXPECT_EQ(packed.steady_state_allocs, 0u);
+  EXPECT_EQ(single.halo_bytes, 0u);  // one rank: every strip copied in place
 }
 
 TEST(RolloutOverlap, RecordEveryStrideMatchesFullRecording) {
@@ -176,9 +199,8 @@ TEST(RolloutOverlap, RecordEveryStrideMatchesFullRecording) {
   const Tensor initial = random_frame(grid, 3);
   const int steps = 5;
 
-  const auto full = parallel_rollout(cfg, report, initial, steps,
-                                     engine_options(RolloutEngine::kOverlapped));
-  RolloutOptions strided = engine_options(RolloutEngine::kOverlapped);
+  const auto full = parallel_rollout(cfg, report, initial, steps, placement(1));
+  RolloutOptions strided = placement(1);
   strided.record_every = 2;
   const auto sparse = parallel_rollout(cfg, report, initial, steps, strided);
 
@@ -192,7 +214,7 @@ TEST(RolloutOverlap, RecordEveryStrideMatchesFullRecording) {
         full.frames[static_cast<std::size_t>(sparse.recorded_steps[i])]);
   }
 
-  RolloutOptions none = engine_options(RolloutEngine::kOverlapped);
+  RolloutOptions none = placement(1);
   none.record_every = 0;
   const auto silent = parallel_rollout(cfg, report, initial, steps, none);
   EXPECT_TRUE(silent.frames.empty());
@@ -201,7 +223,7 @@ TEST(RolloutOverlap, RecordEveryStrideMatchesFullRecording) {
 
 TEST(RolloutOverlap, InjectedDelayKeepsFramesBitIdentical) {
   // Strips arrive late but intact: the bounded receives absorb the delay and
-  // the frames must not change by a single bit on either engine.
+  // the frames must not change by a single bit on either placement.
   const TrainConfig cfg = small_config(BorderMode::kHaloPad);
   const std::int64_t grid = 16;
   NetworkTrainer reference(cfg, 0);
@@ -209,8 +231,7 @@ TEST(RolloutOverlap, InjectedDelayKeepsFramesBitIdentical) {
   const auto report = shared_weight_report(cfg, 4, params, grid);
   const Tensor initial = random_frame(grid, 9);
 
-  const auto baseline = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kOverlapped));
+  const auto baseline = parallel_rollout(cfg, report, initial, 3, placement(1));
 
   mpi::fault::Rule delay;
   delay.action = mpi::fault::Action::kDelay;
@@ -218,16 +239,16 @@ TEST(RolloutOverlap, InjectedDelayKeepsFramesBitIdentical) {
   delay.tag_hi = mpi::tags::kHalo.base + mpi::tags::kHalo.count - 1;
   delay.delay_ms = 2;
   mpi::fault::install(mpi::fault::FaultPlan(5).add_rule(delay));
-  const auto delayed_over = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kOverlapped));
+  const auto delayed_spread =
+      parallel_rollout(cfg, report, initial, 3, placement(1));
   mpi::fault::install(mpi::fault::FaultPlan(5).add_rule(delay));
-  const auto delayed_ser = parallel_rollout(
-      cfg, report, initial, 3, engine_options(RolloutEngine::kSerialized));
+  const auto delayed_packed =
+      parallel_rollout(cfg, report, initial, 3, placement(2));
   mpi::fault::uninstall();
 
-  expect_frames_bit_identical(baseline, delayed_over);
-  expect_frames_bit_identical(baseline, delayed_ser);
-  EXPECT_EQ(delayed_over.degraded_borders, 0);
+  expect_frames_bit_identical(baseline, delayed_spread);
+  expect_frames_bit_identical(baseline, delayed_packed);
+  EXPECT_EQ(delayed_spread.degraded_borders, 0);
 }
 
 mpi::fault::Rule drop_halo_from(int source) {
@@ -239,20 +260,21 @@ mpi::fault::Rule drop_halo_from(int source) {
   return drop;
 }
 
-RolloutOptions degraded_options(RolloutEngine engine) {
-  RolloutOptions options = engine_options(engine);
+RolloutOptions degraded_options(bool recovery) {
+  RolloutOptions options = placement(1, recovery);
   options.halo.recv_timeout = std::chrono::milliseconds(10);
   options.halo.max_retries = 1;
   return options;
 }
 
-TEST(RolloutOverlap, PartialDegradationBitIdenticalAcrossEngines) {
+TEST(RolloutOverlap, PartialDegradationBitIdenticalWithRecoveryOnAndOff) {
   // Two ranks, one shared border; every strip rank 1 sends is lost. Rank 0
   // degrades its only live border at step 0, stops talking to rank 1 (sticky),
   // and rank 1 therefore degrades the opposite side at step 1 — a protocol-
   // driven cascade with no third rank whose retry deadline could race the
-  // stalled sends. Both engines must produce the same degradation sequence
-  // and bit-identical frames.
+  // stalled sends. The heartbeats of recovery mode travel outside the halo
+  // range, so no rank is declared dead: with recovery on and off the rollout
+  // must produce the same degradation sequence and bit-identical frames.
   const TrainConfig cfg = small_config(BorderMode::kHaloPad);
   const std::int64_t grid = 16;
   NetworkTrainer reference(cfg, 0);
@@ -262,10 +284,10 @@ TEST(RolloutOverlap, PartialDegradationBitIdenticalAcrossEngines) {
 
   mpi::fault::install(mpi::fault::FaultPlan(7).add_rule(drop_halo_from(1)));
   const auto ser = parallel_rollout(cfg, report, initial, 3,
-                                    degraded_options(RolloutEngine::kSerialized));
+                                    degraded_options(/*recovery=*/true));
   mpi::fault::install(mpi::fault::FaultPlan(7).add_rule(drop_halo_from(1)));
   const auto over = parallel_rollout(cfg, report, initial, 3,
-                                     degraded_options(RolloutEngine::kOverlapped));
+                                     degraded_options(/*recovery=*/false));
   mpi::fault::uninstall();
 
   EXPECT_EQ(ser.degraded_borders, 2);  // rank 0 then, one step later, rank 1
@@ -274,10 +296,10 @@ TEST(RolloutOverlap, PartialDegradationBitIdenticalAcrossEngines) {
   expect_frames_bit_identical(ser, over);
 }
 
-TEST(RolloutOverlap, TotalBlackoutBitIdenticalAcrossEngines) {
+TEST(RolloutOverlap, TotalBlackoutBitIdenticalWithRecoveryOnAndOff) {
   // Every halo strip in the whole grid is lost: all interior borders must
-  // degrade at step 0 on both engines (timing-independent — there is nothing
-  // left to arrive late) and the frames must match bit for bit.
+  // degrade at step 0 with recovery on and off (timing-independent — there is
+  // nothing left to arrive late) and the frames must match bit for bit.
   const TrainConfig cfg = small_config(BorderMode::kHaloPad);
   const std::int64_t grid = 16;
   NetworkTrainer reference(cfg, 0);
@@ -287,10 +309,10 @@ TEST(RolloutOverlap, TotalBlackoutBitIdenticalAcrossEngines) {
 
   mpi::fault::install(mpi::fault::FaultPlan(11).add_rule(drop_halo_from(-1)));
   const auto ser = parallel_rollout(cfg, report, initial, 2,
-                                    degraded_options(RolloutEngine::kSerialized));
+                                    degraded_options(/*recovery=*/true));
   mpi::fault::install(mpi::fault::FaultPlan(11).add_rule(drop_halo_from(-1)));
   const auto over = parallel_rollout(cfg, report, initial, 2,
-                                     degraded_options(RolloutEngine::kOverlapped));
+                                     degraded_options(/*recovery=*/false));
   mpi::fault::uninstall();
 
   // 2x2 grid: every rank loses its two live borders.
@@ -333,7 +355,7 @@ TEST(RolloutOverlap, SplitExchangeMatchesMonolithicAcrossSteps) {
           serialized[static_cast<std::size_t>(comm.rank())].push_back(padded);
         } else {
           exchange->begin(interior);
-          exchange->finish(interior, padded);
+          exchange->finish(padded);
           split[static_cast<std::size_t>(comm.rank())].push_back(padded);
         }
       }
@@ -376,7 +398,7 @@ TEST(ForwardPlan, BitIdenticalToModuleForwardAndAllocationFree) {
     ASSERT_EQ(out.data[i], expected.data()[i]) << "at index " << i;
   }
 
-  // Smaller geometries (the rim bands) reuse the same buffers.
+  // Smaller geometries reuse the same buffers.
   (void)plan.run(x.data(), h - 4, w - 6);
   EXPECT_EQ(plan.growth_events(), 0u);
 
@@ -406,7 +428,7 @@ TEST(SubdomainEnsemble, ParallelPredictMatchesPerBlockReference) {
 
   SubdomainEnsemble ensemble(cfg, report, grid, grid);
 
-  // Reference: the pre-ISSUE-5 serial per-block loop.
+  // Reference: the serial per-block loop through the module graph.
   util::Rng rng(cfg.seed);
   auto model = build_model(cfg.network, cfg.border, rng);
   import_parameters(*model, params);

@@ -201,8 +201,6 @@ TEST(TraceTest, CriticalPathChildrenAccountForStepTime) {
         continue;  // not inside this step
       }
       if (child.name == "rollout.forward" ||
-          child.name == "rollout.forward.interior" ||
-          child.name == "rollout.forward.rim" ||
           child.name == "halo.begin" || child.name == "halo.finish" ||
           child.name == "rollout.gather") {
         known += child.dur;  // halo.stall is nested inside halo.finish

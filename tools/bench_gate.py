@@ -6,8 +6,8 @@ snapshots in bench/baselines/ and fails (exit 1) when a key figure regressed.
 
 Two kinds of fields are gated differently:
 
-  ratios     speedup, overlap_efficiency, quant speedup, health overhead,
-             error budgets, allocation counts. These are machine-portable
+  ratios     quant speedup, health overhead, error budgets, allocation
+             counts. These are machine-portable
              (both sides of each ratio ran on the same machine), so they are
              gated everywhere, including CI.
   absolute   p50/mean step milliseconds. Only meaningful against a baseline
@@ -55,11 +55,13 @@ def load(path: str) -> dict:
         return json.load(f)
 
 
-def partition(doc: dict, ranks: int) -> dict:
+def partition(doc: dict, tasks: int, ranks: int) -> dict:
     for p in doc.get("partitions", []):
-        if p.get("ranks") == ranks:
+        if p.get("tasks") == tasks and p.get("ranks") == ranks:
             return p
-    raise KeyError(f"no {ranks}-rank partition in BENCH_rollout.json")
+    raise KeyError(
+        f"no {tasks}-task, {ranks}-rank partition in BENCH_rollout.json"
+    )
 
 
 class Gate:
@@ -130,32 +132,22 @@ def gate_rollout(gate: Gate, current: dict, baseline: dict, absolute: bool):
         ("grid", "steps", "warmup", "threads", "record_every", "backend"),
     ):
         return
-    for ranks in (4, 16):
+    for tasks, ranks in ((4, 4), (16, 16), (16, 4)):
         try:
-            cur = partition(current, ranks)
-            base = partition(baseline, ranks)
+            cur = partition(current, tasks, ranks)
+            base = partition(baseline, tasks, ranks)
         except KeyError as e:
             gate.failures.append(str(e))
             continue
-        label = f"rollout[{ranks} ranks]"
-        gate.ratio_floor(
-            f"{label}.speedup", cur.get("speedup", 0.0), base.get("speedup", 0.0)
-        )
-        gate.ratio_floor(
-            f"{label}.overlap_efficiency",
-            cur.get("overlap_efficiency", 0.0),
-            base.get("overlap_efficiency", 0.0),
-        )
+        label = f"rollout[{tasks} tasks on {ranks} ranks]"
         gate.exact(
-            f"{label}.overlapped.steady_state_allocs",
-            cur.get("overlapped", {}).get("steady_state_allocs"),
-            0,
+            f"{label}.steady_state_allocs", cur.get("steady_state_allocs"), 0
         )
         if absolute:
             gate.time_regression(
-                f"{label}.overlapped.mean_ms",
-                cur.get("overlapped", {}).get("mean_ms", 0.0),
-                base.get("overlapped", {}).get("mean_ms", 0.0),
+                f"{label}.mean_ms",
+                cur.get("mean_ms", 0.0),
+                base.get("mean_ms", 0.0),
             )
     # The always-on health monitor's acceptance bound is < 2% locally; CI
     # gates a looser 25% because sub-ms step times on shared runners put a

@@ -8,8 +8,8 @@
 #            thread pool — the tests that exercise cross-thread mailboxes,
 #            collectives, concurrent rank training, the blocked GEMM's
 #            parallel_for fan-out, the conv backward's sample groups on pool
-#            threads (conv ops + gradchecks), the overlapped rollout engine's
-#            begin/finish halo split (bit-identity under races), the
+#            threads (conv ops + gradchecks), the rollout's per-task
+#            begin/finish halo exchange (bit-identity under races), the
 #            cross-rank trace collector's concurrent event buffers, the
 #            int8 quantized rollout path, and the SurrogateServer's
 #            scheduler/client handoff (coalesced batching under many
@@ -22,7 +22,7 @@
 # Fault injection: any of these binaries also honours the PARPDE_FAULT
 # environment variable (seeded message drop/delay/dup/corrupt and rank
 # kills — grammar in docs/robustness.md), so a chaotic sanitizer run is
-# e.g.  PARPDE_FAULT="seed=3;drop:tag=4096-4099,prob=0.3" tools/check.sh
+# e.g.  PARPDE_FAULT="seed=3;drop:tag=20480-21503,prob=0.3" tools/check.sh
 # The deterministic crash/resume soak itself is the `chaos` ctest label:
 #   ctest -L chaos --output-on-failure
 #

@@ -57,26 +57,24 @@ int usage() {
                "           [--checkpoint-dir=DIR] [--checkpoint-every=N] "
                "[--resume]\n"
                "           [--tasks-per-rank=N]   (over-decompose: each rank\n"
-               "                             trains N subdomain tasks; enables\n"
-               "                             the elastic rollout runtime)\n"
+               "                             trains N subdomain tasks)\n"
                "  eval     --data=FILE --model=FILE [--train-fraction=X]\n"
                "  rollout  --data=FILE --model=FILE [--steps=N] [--start=N] "
                "[--render]\n"
                "           [--halo-timeout-ms=N] [--halo-retries=N] "
                "[--record-every=N]\n"
-               "           [--serialized]   (reference engine; default is the\n"
-               "                             overlapped halo/compute pipeline)\n"
                "           [--backend=fp32|int8]   (execution provider; int8\n"
                "                             runs the quantized conv kernels,\n"
                "                             see docs/performance.md)\n"
                "           [--health-report]   (print the rollout health\n"
                "                             summary: NaN/Inf, seam residuals,\n"
                "                             int8 saturation, degradations)\n"
-               "           [--elastic]   (self-healing elastic runtime:\n"
-               "                             over-decomposed tasks, heartbeat\n"
+               "           [--tasks-per-rank=N]   (host N subdomain tasks per\n"
+               "                             rank thread)\n"
+               "           [--elastic]   (self-healing runtime: heartbeat\n"
                "                             failure detection, live adoption;\n"
                "                             see docs/robustness.md)\n"
-               "           [--tasks-per-rank=N] [--lease-ms=N] [--no-recover]\n"
+               "           [--lease-ms=N] [--no-recover]\n"
                "           [--state-dir=DIR] [--state-every=N]   (PPES rollout\n"
                "                             state snapshots for adoption)\n"
                "  serve    --model=FILE [--sessions=N] [--steps=N] "
@@ -394,9 +392,6 @@ int cmd_rollout(const util::Options& opts) {
   rollout_options.halo.recv_timeout =
       std::chrono::milliseconds(opts.get_int("halo-timeout-ms", 250));
   rollout_options.halo.max_retries = opts.get_int("halo-retries", 40);
-  rollout_options.engine = opts.get_bool("serialized", false)
-                               ? RolloutEngine::kSerialized
-                               : RolloutEngine::kOverlapped;
   rollout_options.record_every = opts.get_int("record-every", 1);
   rollout_options.elastic.enabled = opts.get_bool("elastic", false);
   rollout_options.elastic.tasks_per_rank = opts.get_int("tasks-per-rank", 1);
@@ -407,11 +402,6 @@ int cmd_rollout(const util::Options& opts) {
   rollout_options.elastic.state_dir = opts.get_string("state-dir", "");
   rollout_options.elastic.state_every = opts.get_int(
       "state-every", rollout_options.elastic.state_dir.empty() ? 0 : 1);
-  if (!rollout_options.elastic.enabled &&
-      rollout_options.elastic.tasks_per_rank != 1) {
-    std::fprintf(stderr, "--tasks-per-rank requires --elastic\n");
-    return 2;
-  }
   const std::string backend_name = opts.get_string("backend", "fp32");
   rollout_options.backend = backend::by_name(backend_name);
   if (rollout_options.backend == nullptr) {
@@ -514,11 +504,7 @@ int cmd_rollout(const util::Options& opts) {
       summary.field("record", "rollout_summary")
           .field("steps", steps)
           .field("engine",
-                 rollout_options.elastic.enabled
-                     ? "elastic"
-                     : (rollout_options.engine == RolloutEngine::kSerialized
-                            ? "serialized"
-                            : "overlapped"))
+                 rollout_options.elastic.enabled ? "elastic" : "static")
           .field("backend", result.backend)
           .field("record_every",
                  static_cast<std::int64_t>(rollout_options.record_every))

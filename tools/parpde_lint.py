@@ -409,20 +409,20 @@ def rule_backend_bypass(rel: str, code: str, out: list):
 
 # --- rule: raw-rank-block ----------------------------------------------------
 
-# The elastic runtime decouples subdomain tasks from ranks (the tentpole of
-# the self-healing design): every partition lookup must be keyed by a task id
-# or task coordinates from the Assignment map. A `block_of_rank(rank)` /
-# `block_of_rank(comm.rank())` in src/elastic/ quietly reintroduces the
-# implicit (cx, cy) == rank identity and produces wrong geometry the moment
-# one task migrates.
-ELASTIC_PHASE_PREFIX = "src/elastic/"
+# The rollout decouples subdomain tasks from ranks (the basis of the
+# self-healing design): every partition lookup must be keyed by a task id or
+# task coordinates from the Assignment map. A `block_of_rank(rank)` /
+# `block_of_rank(comm.rank())` in src/elastic/ or in the rollout task loop
+# quietly reintroduces the implicit (cx, cy) == rank identity and produces
+# wrong geometry the moment one task migrates.
+ELASTIC_PHASE_PREFIXES = ("src/elastic/", "src/core/inference.cpp")
 
 _BLOCK_OF_RANK = re.compile(r"\bblock_of_rank\s*\(")
 _RANK_VALUE = re.compile(r"\.\s*rank\s*\(|\brank\b")
 
 
 def rule_raw_rank_block(rel: str, code: str, out: list):
-    if not rel.startswith(ELASTIC_PHASE_PREFIX):
+    if not rel.startswith(ELASTIC_PHASE_PREFIXES):
         return
     for m in _BLOCK_OF_RANK.finditer(code):
         args = split_args(code, m.end() - 1)
@@ -433,7 +433,7 @@ def rule_raw_rank_block(rel: str, code: str, out: list):
                 "raw-rank-block",
                 rel,
                 line_of(code, m.start()),
-                "partition block indexed by the hosting rank in elastic "
+                "partition block indexed by the hosting rank in task "
                 "code — ownership migrates on rebalance; derive geometry "
                 "from the task id via the Assignment map "
                 "(elastic/assignment.hpp)",

@@ -1,7 +1,7 @@
 // parpde-mc: schedule-space model checker for the minimpi runtime
 // (docs/static-analysis.md, "schedule-space model checking").
 //
-// Runs invariant oracles — a 2x2 overlapped rollout, a ParallelTrainer epoch,
+// Runs invariant oracles — a 2x2 rollout, a ParallelTrainer epoch,
 // and a checkpoint/kill/resume cycle — under hundreds of seeded delivery/
 // wakeup/chunk-order schedules (src/verify/), asserting that every explored
 // interleaving produces bit-identical outputs, deadlocks nowhere (the
@@ -99,7 +99,7 @@ data::FrameDataset tiny_dataset() {
   return data::FrameDataset(std::move(sim.frames));
 }
 
-// 2x2 overlapped rollout over shared untrained weights (the rollout's
+// 2x2 rollout over shared untrained weights (the rollout's
 // bit-identity does not depend on where the weights came from, and skipping
 // training keeps each explored schedule cheap).
 verify::Oracle make_rollout_oracle() {
@@ -123,17 +123,29 @@ verify::Oracle make_rollout_oracle() {
   rng.fill_uniform(initial.values(), 0.5f, 1.5f);
 
   return [cfg, report = std::move(report), initial = std::move(initial)] {
-    core::RolloutOptions options;
-    options.engine = core::RolloutEngine::kOverlapped;
-    const auto result = core::parallel_rollout(cfg, report, initial,
-                                               /*steps=*/3, options);
-    if (result.degraded_borders != 0) {
-      throw std::runtime_error("rollout degraded a border with no faults");
+    // Two placements of the same 4 tasks: one per rank (4 rank threads) and
+    // two per rank (2 rank threads, half the strips copied in place). Both
+    // must produce the same frames under every schedule.
+    std::uint64_t first = 0;
+    for (const int per_rank : {1, 2}) {
+      core::RolloutOptions options;
+      options.elastic.tasks_per_rank = per_rank;
+      const auto result = core::parallel_rollout(cfg, report, initial,
+                                                 /*steps=*/3, options);
+      if (result.degraded_borders != 0) {
+        throw std::runtime_error("rollout degraded a border with no faults");
+      }
+      std::uint64_t h = kFnvSeed;
+      for (const Tensor& frame : result.frames) h = hash_tensor(frame, h);
+      for (const int s : result.recorded_steps) h = fnv1a(&s, sizeof(s), h);
+      if (per_rank == 1) {
+        first = h;
+      } else if (h != first) {
+        throw std::runtime_error("rollout with 2 tasks per rank differs from "
+                                 "1 task per rank");
+      }
     }
-    std::uint64_t h = kFnvSeed;
-    for (const Tensor& frame : result.frames) h = hash_tensor(frame, h);
-    for (const int s : result.recorded_steps) h = fnv1a(&s, sizeof(s), h);
-    return h;
+    return first;
   };
 }
 
@@ -149,7 +161,7 @@ verify::Oracle make_trainer_oracle() {
 
 // Checkpoint-every-epoch training where rank 1 is killed at the epoch-1
 // boundary and retrained from its crash-consistent checkpoint, followed by a
-// short overlapped rollout of the recovered models. The recovery protocol and
+// short rollout of the recovered models. The recovery protocol and
 // inference over the recovered weights must both be schedule-independent.
 verify::Oracle make_checkpoint_oracle() {
   euler::EulerConfig ec;
@@ -191,10 +203,8 @@ verify::Oracle make_checkpoint_oracle() {
       throw std::runtime_error("checkpoint oracle: rank 1 was not retrained");
     }
     std::uint64_t h = hash_report(report);
-    core::RolloutOptions options;
-    options.engine = core::RolloutEngine::kOverlapped;
     const auto rollout =
-        core::parallel_rollout(cfg, report, *initial, /*steps=*/2, options);
+        core::parallel_rollout(cfg, report, *initial, /*steps=*/2);
     if (rollout.degraded_borders != 0) {
       throw std::runtime_error("checkpoint oracle: post-resume rollout "
                                "degraded a border with no faults");

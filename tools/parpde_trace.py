@@ -15,15 +15,14 @@ timestamps to rank 0's clock. This tool turns those files into numbers:
 
   analyze  Critical-path attribution: for every "rollout.step" slice on
            every rank lane, buckets the step's wall time into
-             interior   "rollout.forward.interior" / "rollout.forward"
-             rim        "rollout.forward.rim"
+             forward    "rollout.forward" (every hosted task's forward)
              halo_send  "halo.begin" (packing + buffered sends)
              recv_wait  "halo.finish" minus the nested "halo.stall"
              stall      "halo.stall" (timed-out receive attempts on a
                         degrading border)
              gather     "rollout.gather"
              other      residual glue (health scan, bookkeeping)
-           so the seven buckets sum to the measured step time exactly.
+           so the six buckets sum to the measured step time exactly.
            Validates that every flow start has exactly one finish, measures
            per-flow wire time (receive ts minus send ts, clamped at 0 since
            clock offsets carry +-RTT/2 noise), and writes the aggregate
@@ -48,8 +47,7 @@ import sys
 
 # Span names -> attribution bucket. Anything else inside a step (nested
 # conv/gemm spans, say) is covered by its parent bucket or by "other".
-_INTERIOR = ("rollout.forward.interior", "rollout.forward")
-_RIM = "rollout.forward.rim"
+_FORWARD = "rollout.forward"
 _HALO_SEND = "halo.begin"
 _HALO_FINISH = "halo.finish"
 _HALO_STALL = "halo.stall"
@@ -57,8 +55,7 @@ _GATHER = "rollout.gather"
 _STEP = "rollout.step"
 
 BUCKETS = (
-    "interior",
-    "rim",
+    "forward",
     "halo_send",
     "recv_wait",
     "stall",
@@ -143,10 +140,8 @@ def attribute_step(step: dict, children: list) -> dict:
     for c in children:
         name = c["name"]
         dur = int(c.get("dur", 0))
-        if name in _INTERIOR:
-            sums["interior"] += dur
-        elif name == _RIM:
-            sums["rim"] += dur
+        if name == _FORWARD:
+            sums["forward"] += dur
         elif name == _HALO_SEND:
             sums["halo_send"] += dur
         elif name == _HALO_FINISH:
@@ -159,8 +154,7 @@ def attribute_step(step: dict, children: list) -> dict:
     # after subtracting them is genuine waiting on healthy receives.
     sums["recv_wait"] = max(0, finish - sums["stall"])
     accounted = (
-        sums["interior"]
-        + sums["rim"]
+        sums["forward"]
         + sums["halo_send"]
         + finish
         + sums["gather"]
@@ -367,16 +361,15 @@ def _flow(ph, pid, flow_id, ts, name="domain.halo"):
 
 
 def _synthetic_rank(pid, base):
-    """One rollout step with a known layout: 10 us halo_send, 50 us
-    interior, 20 us finish containing a 5 us stall, 10 us rim, 8 us gather,
-    2 us residual glue -> 100 us step."""
+    """One rollout step with a known layout: 10 us halo_send, 20 us
+    finish containing a 5 us stall, 60 us forward, 8 us gather, 2 us
+    residual glue -> 100 us step."""
     return [
         _span(pid, _STEP, base, 100),
         _span(pid, _HALO_SEND, base, 10, cat="comm"),
-        _span(pid, "rollout.forward.interior", base + 10, 50),
-        _span(pid, _HALO_FINISH, base + 60, 20, cat="comm"),
-        _span(pid, _HALO_STALL, base + 65, 5, cat="comm"),
-        _span(pid, _RIM, base + 80, 10),
+        _span(pid, _HALO_FINISH, base + 10, 20, cat="comm"),
+        _span(pid, _HALO_STALL, base + 15, 5, cat="comm"),
+        _span(pid, _FORWARD, base + 30, 60),
         _span(pid, _GATHER, base + 90, 8),
     ]
 
@@ -391,8 +384,7 @@ def self_test() -> int:
     ]
     report = analyze_events(events)
     expected = {
-        "interior": 100,
-        "rim": 20,
+        "forward": 120,
         "halo_send": 20,
         "recv_wait": 30,
         "stall": 10,
